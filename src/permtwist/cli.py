@@ -224,7 +224,9 @@ def emit(rows, out=None) -> int:
 
 def _parse_ks(values, default) -> tuple[int, ...]:
     ks = tuple(values) if values else default
-    if any(k < 1 for k in ks):
+    bad = [k for k in ks if k < 1]
+    if bad:
+        print(f"--k values must be >= 1, got {bad[0]}", file=sys.stderr)
         raise SystemExit(2)
     return ks
 

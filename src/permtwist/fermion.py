@@ -16,7 +16,7 @@ from fractions import Fraction as Fr
 from functools import lru_cache
 
 from .exactnum import Scalar, ScalarRing, get_ring
-from .fseries import CheckReport, FracSeries, Window, gbinom
+from .fseries import CheckReport, FracSeries, Window, delta_truncated, gbinom
 
 State = tuple  # strictly increasing negative ints
 TKey = tuple  # tuple of States
@@ -423,26 +423,42 @@ class VecSeries:
             self.ring, self.vars, {e: vec.scale(c) for e, vec in self.terms.items()}
         )
 
-    def mul_series(self, s: FracSeries) -> "VecSeries":
-        """Multiply by a scalar series (no phi part).
+    def mul_series(self, s: FracSeries, box: Window | None = None) -> "VecSeries":
+        """Multiply by a scalar series (no phi part): the convolution of supports.
 
-        Plain convolution of supports; the caller is responsible for both
-        operands being complete wherever the product is later read off.
+        With a box, only the products whose exponent lies in the box are
+        formed, and the result is mul_series(s).truncate_window(box) term for
+        term: each box coefficient is still the sum of every product that
+        lands on it.  It is the true coefficient of the full product when both
+        operands hold every term that can reach it.
         """
         allvars = tuple(sorted(set(self.vars) | set(s.vars)))
-        mypos = {v: self.vars.index(v) for v in self.vars}
-        spos = {v: s.vars.index(v) for v in s.vars}
+        if any(phi for _exps, phi in s.terms):
+            raise ValueError("vector series carry no odd coordinate")
+
+        def aligned(vars, exps) -> tuple:
+            return tuple(Fr(exps[vars.index(v)]) if v in vars else Fr(0) for v in allvars)
+
+        rows = [(aligned(self.vars, e), vec) for e, vec in self.terms.items()]
+        cols = [(aligned(s.vars, e), c) for (e, _phi), c in s.terms.items()]
+        # the box test runs on integer numerators over one common denominator
+        den = math.lcm(*(x.denominator for row, _ in rows + cols for x in row))
+        bounds = box.as_dict() if box is not None else {}
+        limits = [(i, math.ceil(bounds[v][0] * den), math.floor(bounds[v][1] * den))
+                  for i, v in enumerate(allvars) if v in bounds]
+        rows = [(row, tuple(int(x * den) for x in row), vec) for row, vec in rows]
         out = VecSeries(self.ring, allvars)
-        for (sexps, phi), c in s.terms.items():
-            if phi:
-                raise ValueError("vector series carry no odd coordinate")
-            for vexps, vec in self.terms.items():
-                key = tuple(
-                    (vexps[mypos[v]] if v in mypos else Fr(0))
-                    + (Fr(sexps[spos[v]]) if v in spos else Fr(0))
-                    for v in allvars
-                )
-                out.add_term(key, vec, factor=c)
+        for srow, c in cols:
+            sint = tuple(int(x * den) for x in srow)
+            for vrow, vint, vec in rows:
+                if any(not lo <= vint[i] + sint[i] <= hi for i, lo, hi in limits):
+                    continue
+                key = tuple(a + b for a, b in zip(vrow, srow))
+                acc = out.terms.get(key)
+                if acc is None:
+                    acc = out.terms[key] = Vec(self.ring)
+                acc.accumulate(vec.terms.items(), c)
+        out.terms = {e: vec for e, vec in out.terms.items() if not vec.is_zero()}
         return out
 
     def coefficient(self, assignment: dict) -> Vec:
@@ -616,17 +632,27 @@ def eigenprojection(w: Vec, j: int, k: int) -> Vec:
 # ---------------------------------------------------------------------------
 
 
+def two_sided(field, u, v, w: Vec, win1, win2, vars) -> VecSeries:
+    """field(u, v1) field(v, v2) w on the rectangle win1 x win2 (each entry exact).
+
+    field(state, target, window, var) is a one-variable field complete on its
+    window, such as vertex_op; u and v are whatever it takes as its state.
+    """
+    v1, v2 = vars
+    out = VecSeries(w.ring, vars)
+    if win1[0] > win1[1] or win2[0] > win2[1]:
+        return out
+    inner = field(v, w, Window.of(**{v2: win2}), v2)
+    for (f2,), vec in inner.terms.items():
+        outer = field(u, vec, Window.of(**{v1: win1}), v1)
+        for (f1,), res in outer.terms.items():
+            out.add_term((f1, f2), res)
+    return out
+
+
 def two_point(u: Vec, v: Vec, w: Vec, e1_range, e2_range, vars=("x1", "x2")) -> VecSeries:
     """Y(u,x1)Y(v,x2)w on an exponent rectangle (each entry exact)."""
-    out = VecSeries(w.ring, vars)
-    for e2 in range(math.ceil(Fr(e2_range[0])), math.floor(Fr(e2_range[1])) + 1):
-        mid = vertex_mode(v, -e2 - 1, w)
-        if mid.is_zero():
-            continue
-        for e1 in range(math.ceil(Fr(e1_range[0])), math.floor(Fr(e1_range[1])) + 1):
-            vec = vertex_mode(u, -e1 - 1, mid)
-            out.add_term((Fr(e1), Fr(e2)), vec)
-    return out
+    return two_sided(vertex_op, u, v, w, e1_range, e2_range, vars)
 
 
 def iterate_series(u: Vec, v: Vec, w: Vec, e0_range, e2_range, vars=("x0", "x2")) -> VecSeries:
@@ -640,6 +666,52 @@ def iterate_series(u: Vec, v: Vec, w: Vec, e0_range, e2_range, vars=("x0", "x2")
             vec = vertex_mode(inner, -e2 - 1, w)
             out.add_term((Fr(e0), Fr(e2)), vec)
     return out
+
+
+def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
+    """The two product sides of a Jacobi identity, on the box (x0 integral):
+
+      x0^-1 d((x1-x2)/x0) F(u,x1)F(v,x2)w - eps x0^-1 d((x2-x1)/-x0) F(v,x2)F(u,x1)w
+
+    F is field (as in two_sided) and floors = (lowest exponent of F(u,.)w,
+    lowest exponent of F(v,.)w).  The x0-exponent of the n-th delta term is
+    -n-1, so n runs over [-h0-1, -l0-1]; each binomial tail reaches down to
+    the inner field's floor, and the outer field's rectangle reaches as high
+    as the deepest tail term needs, so every box coefficient is exact.
+    """
+    b = box.as_dict()
+    l0, h0 = int(b["x0"][0]), int(b["x0"][1])
+    sides = []
+    for p, q, a, c, floor, sign in (("x1", "x2", u, v, floors[1], 1),
+                                    ("x2", "x1", v, u, floors[0], -1)):
+        (lp, hp), (lq, hq) = b[p], b[q]
+        tail = math.floor(hq - floor)
+        rect = two_sided(
+            field, a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq), (p, q)
+        )
+        delta = delta_truncated(
+            w.ring, (1, {p: 1}), (-1, {q: 1}), (sign, {"x0": 1}),
+            n_range=(-h0 - 1, -l0 - 1), tail_order=tail, prefix=(1, {"x0": -1}),
+        )
+        sides.append(rect.mul_series(delta, box))
+    return sides[0] - sides[1].scale(eps)
+
+
+def untwisted_iterate_side(u: Vec, v: Vec, w: Vec, box: Window) -> VecSeries:
+    """x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v, x2)w on the box, each coefficient exact."""
+    b = box.as_dict()
+    (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
+    e0min = Fr(min_exponent(u, v))
+    tail = int(h0 - e0min)
+    n_lo, n_hi = int(l1), int(h1 + h0 - e0min)
+    rect = iterate_series(
+        u, v, w, (max(e0min, l0 - tail), h0), (l2 + n_lo + 1, h2 + n_hi + 1)
+    )
+    delta = delta_truncated(
+        w.ring, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
+        n_range=(n_lo, n_hi), tail_order=tail, prefix=(1, {"x2": -1}),
+    )
+    return rect.mul_series(delta, box)
 
 
 def untwisted_jacobi_check(
@@ -659,81 +731,21 @@ def untwisted_jacobi_check(
     used is deep enough that box coefficients are exact: the delta sums are
     cut by the box itself plus the module weight floors.
     """
-    from .fseries import delta_truncated
-
-    ring = w.ring
     if box is None:
         box = Window.of(x0=(-3, 3), x1=(-3, 3), x2=(-3, 3))
-    b = box.as_dict()
-    (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
-    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
     eps = (-1) ** (u.parity() * v.parity())
-
-    # -- side 1: Y(u,x1)Y(v,x2)w against delta((x1-x2)/x0)
-    # x0-exponent is -n-1 (the x0^-1 prefix), so n runs over [-h0-1, -l0-1]
-    e2min = Fr(min_exponent(v, w))
-    tail1 = int(h2 - e2min)
-    p_rect = two_point(
-        u, v, w, (l1 + l0 + 1, h1 + h0 + 1 + tail1), (max(e2min, l2 - tail1), h2)
-    )
-    d1 = delta_truncated(
-        ring,
-        (1, {"x1": 1}),
-        (-1, {"x2": 1}),
-        (1, {"x0": 1}),
-        n_range=(int(-h0) - 1, int(-l0) - 1),
-        tail_order=tail1,
-        prefix=(1, {"x0": -1}),
-    )
-    side1 = p_rect.mul_series(d1).truncate_window(box)
-
-    # -- side 2: Y(v,x2)Y(u,x1)w against delta((x2-x1)/(-x0))
-    e1min = Fr(min_exponent(u, w))
-    tail2 = int(h1 - e1min)
-    q_rect = two_point(
-        v, u, w, (l2 + l0 + 1, h2 + h0 + 1 + tail2), (max(e1min, l1 - tail2), h1),
-        vars=("x2", "x1"),
-    )
-    d2 = delta_truncated(
-        ring,
-        (1, {"x2": 1}),
-        (-1, {"x1": 1}),
-        (-1, {"x0": 1}),
-        n_range=(int(-h0) - 1, int(-l0) - 1),
-        tail_order=tail2,
-        prefix=(1, {"x0": -1}),
-    )
-    side2 = q_rect.mul_series(d2).truncate_window(box).scale(Fr(eps))
-
-    # -- side 3: Y(Y(u,x0)v, x2)w against x2^-1 delta((x1-x0)/x2)
-    e0min = Fr(min_exponent(u, v))
-    tail3 = int(h0 - e0min)
-    n3_lo, n3_hi = int(l1), int(h1 + h0 - e0min)
-    r_rect = iterate_series(
-        u, v, w, (max(e0min, l0 - tail3), h0), (l2 + n3_lo + 1, h2 + n3_hi + 1)
-    )
-    d3 = delta_truncated(
-        ring,
-        (1, {"x1": 1}),
-        (-1, {"x0": 1}),
-        (1, {"x2": 1}),
-        n_range=(n3_lo, n3_hi),
-        tail_order=tail3,
-        prefix=(1, {"x2": -1}),
-    )
-    side3 = r_rect.mul_series(d3).truncate_window(box)
-
-    lhs = side1 - side2
+    floors = (Fr(min_exponent(u, w)), Fr(min_exponent(v, w)))
+    lhs = jacobi_products(vertex_op, u, v, w, box, floors, eps)
     return vec_equal_on_window(
         lhs,
-        side3,
+        untwisted_iterate_side(u, v, w, box),
         box,
         identity,
         anchors=(
             "x0^-1 d((x1-x2)/x0) Y(u,x1)Y(v,x2)w - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Y(v,x2)Y(u,x1)w"
             " == x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v,x2)w",
         ),
-        k=ring.k,
+        k=w.ring.k,
     )
 
 

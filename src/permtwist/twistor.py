@@ -32,12 +32,14 @@ from .exactnum import Scalar, ScalarRing, get_ring
 from .fermion import (
     Vec,
     VecSeries,
+    jacobi_products,
     key_parity,
     key_weight,
     min_exponent,
     omega_vec,
     psi_vec,
     standard_basis,
+    two_sided,
     vac_vec,
     vec_equal_on_window,
     vertex_mode,
@@ -262,25 +264,13 @@ def twisted_field(u: Vec, slot: int, target: Vec, window: Window, *,
     return other_slots(base, (slot - 1) % target.ring.k, var=var)
 
 
-def _parts_field(parts, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
+def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSeries:
     """Field of a formal combination: parts is ((coeff, state, slot), ...)."""
     out = VecSeries(target.ring, (var,))
     for c, state, slot in parts:
         ser = twisted_field(state, slot, target, window, var=var)
         for e, vec in ser.terms.items():
             out.add_term(e, vec.scale(c))
-    return out
-
-
-def _parts_product(pa, pb, w: Vec, win1, win2, vars) -> VecSeries:
-    """Nested product field(pa, v1) field(pb, v2) w, exact on win1 x win2."""
-    v1, v2 = vars
-    inner = _parts_field(pb, w, Window.of(**{v2: win2}), var=v2)
-    out = VecSeries(w.ring, vars)
-    for (f2,), vec in inner.terms.items():
-        outer = _parts_field(pa, vec, Window.of(**{v1: win1}), var=v1)
-        for (f1,), res in outer.terms.items():
-            out.add_term((f1, f2), res)
     return out
 
 
@@ -553,8 +543,8 @@ def _bracket_check(apply_field, u: Vec, v: Vec, w: Vec, box: Window, *,
     b = box.as_dict()
     (a1, b1), (a2, b2) = b["x1"], b["x2"]
     eps = (-1) ** (u.parity() * v.parity())
-    p12 = _two_sided(apply_field, u, v, w, (a1, b1), (a2, b2), ("x1", "x2"))
-    p21 = _two_sided(apply_field, v, u, w, (a2, b2), (a1, b1), ("x2", "x1"))
+    p12 = two_sided(apply_field, u, v, w, (a1, b1), (a2, b2), ("x1", "x2"))
+    p21 = two_sided(apply_field, v, u, w, (a2, b2), (a1, b1), ("x2", "x1"))
     lhs = p12 - p21.scale(eps)
     rhs = VecSeries(ring, ("x1", "x2"))
     for m in range(0, -min_exponent(u, v)):
@@ -572,17 +562,6 @@ def _bracket_check(apply_field, u: Vec, v: Vec, w: Vec, box: Window, *,
             for (f2,), vec in ser.terms.items():
                 rhs.add_term((r - m, f2 - r - 1), vec, factor=c)
     return vec_equal_on_window(lhs, rhs, box, identity, anchors=anchors, k=k)
-
-
-def _two_sided(apply_field, u: Vec, v: Vec, w: Vec, win1, win2, vars) -> VecSeries:
-    v1, v2 = vars
-    inner = apply_field(v, w, Window.of(**{v2: win2}), v2)
-    out = VecSeries(w.ring, vars)
-    for (f2,), vec in inner.terms.items():
-        outer = apply_field(u, vec, Window.of(**{v1: win1}), v1)
-        for (f1,), res in outer.terms.items():
-            out.add_term((f1, f2), res)
-    return out
 
 
 def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
@@ -856,33 +835,11 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
     b = box.as_dict()
     (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
     l0, h0 = int(l0), int(h0)
-    eps = (-1) ** (u.parity() * v.parity())
     one = ring.one
-    fl1 = twisted_floor(u, w)
-    fl2 = twisted_floor(v, w)
-    # -- product side 1 against x0^-1 d((x1-x2)/x0)
-    tail1 = int(math.floor(h2 - fl2))
-    p_rect = _parts_product(
-        ((one, u, s1),), ((one, v, s2),), w,
-        (l1 + l0 + 1, h1 + h0 + 1 + tail1), (max(fl2, l2 - tail1), h2), ("x1", "x2"),
+    lhs = jacobi_products(
+        _parts_field, ((one, u, s1),), ((one, v, s2),), w, box,
+        (twisted_floor(u, w), twisted_floor(v, w)), (-1) ** (u.parity() * v.parity()),
     )
-    d1 = delta_truncated(
-        ring, (1, {"x1": 1}), (-1, {"x2": 1}), (1, {"x0": 1}),
-        n_range=(-h0 - 1, -l0 - 1), tail_order=tail1, prefix=(1, {"x0": -1}),
-    )
-    side1 = p_rect.mul_series(d1).truncate_window(box)
-    # -- product side 2 against x0^-1 d((x2-x1)/-x0)
-    tail2 = int(math.floor(h1 - fl1))
-    q_rect = _parts_product(
-        ((one, v, s2),), ((one, u, s1),), w,
-        (l2 + l0 + 1, h2 + h0 + 1 + tail2), (max(fl1, l1 - tail2), h1), ("x2", "x1"),
-    )
-    d2 = delta_truncated(
-        ring, (1, {"x2": 1}), (-1, {"x1": 1}), (-1, {"x0": 1}),
-        n_range=(-h0 - 1, -l0 - 1), tail_order=tail2, prefix=(1, {"x0": -1}),
-    )
-    side2 = q_rect.mul_series(d2).truncate_window(box).scale(eps)
-    lhs = side1 - side2
     # -- iterate side: j-sum of eta-phased fractional deltas.  Each j gets its
     # own windows: a cross-slot iterate has x0-floor 0 (the other slot's field
     # can only create out of its vacuum), while the same-slot leg reaches down
@@ -915,7 +872,7 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
         legs.extend((dj, it) for (dj, _), it in zip(cross_jobs, its))
     rhs = None
     for dj, it in legs:
-        term = it.mul_series(dj).truncate_window(box)
+        term = it.mul_series(dj, box)
         rhs = term if rhs is None else rhs + term
     return vec_equal_on_window(
         lhs, rhs, box, identity,
@@ -945,35 +902,13 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
     b = box.as_dict()
     (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
     l0, h0 = int(l0), int(h0)
-    eps = (-1) ** (u.parity() * v.parity())
-    one = ring.one
     parts_a = tuple(
         (ring.eta((-i * r) % k) * Fr(1, k), u, ((-i) % k) + 1) for i in range(k)
     )
-    parts_b = ((one, v, s2),)
-    fl1 = twisted_floor(u, w)
-    fl2 = twisted_floor(v, w)
-    tail1 = int(math.floor(h2 - fl2))
-    p_rect = _parts_product(
-        parts_a, parts_b, w,
-        (l1 + l0 + 1, h1 + h0 + 1 + tail1), (max(fl2, l2 - tail1), h2), ("x1", "x2"),
+    lhs = jacobi_products(
+        _parts_field, parts_a, ((ring.one, v, s2),), w, box,
+        (twisted_floor(u, w), twisted_floor(v, w)), (-1) ** (u.parity() * v.parity()),
     )
-    d1 = delta_truncated(
-        ring, (1, {"x1": 1}), (-1, {"x2": 1}), (1, {"x0": 1}),
-        n_range=(-h0 - 1, -l0 - 1), tail_order=tail1, prefix=(1, {"x0": -1}),
-    )
-    side1 = p_rect.mul_series(d1).truncate_window(box)
-    tail2 = int(math.floor(h1 - fl1))
-    q_rect = _parts_product(
-        parts_b, parts_a, w,
-        (l2 + l0 + 1, h2 + h0 + 1 + tail2), (max(fl1, l1 - tail2), h1), ("x2", "x1"),
-    )
-    d2 = delta_truncated(
-        ring, (1, {"x2": 1}), (-1, {"x1": 1}), (-1, {"x0": 1}),
-        n_range=(-h0 - 1, -l0 - 1), tail_order=tail2, prefix=(1, {"x0": -1}),
-    )
-    side2 = q_rect.mul_series(d2).truncate_window(box).scale(eps)
-    lhs = side1 - side2
     e0min = min_exponent(u, v)
     N = max(1, -e0min)
     tail3 = int(h0 - e0min)
@@ -996,7 +931,7 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
         shift=Fr(-r, k), n_range=(n_lo, n_hi), tail_order=tail3,
         prefix=(1, {"x2": -1}),
     )
-    rhs = it.mul_series(d3).truncate_window(box)
+    rhs = it.mul_series(d3, box)
     return vec_equal_on_window(
         lhs, rhs, box, identity,
         anchors=(

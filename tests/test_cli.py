@@ -49,6 +49,13 @@ def test_check_unknown_name_exits_two():
     assert exc.value.code == 2
 
 
+def test_check_k_below_one_exits_two_with_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "grading", "--k", "3", "0"])
+    assert exc.value.code == 2
+    assert "--k values must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_check_bad_fraction_exits_two(capsys):
     rc = cli.main(["check", "grading", "--max-weight", "one-half"])
     assert rc == 2

@@ -16,6 +16,7 @@ from permtwist.fermion import (
     clifford_apply_state,
     eigenprojection,
     graded_dims,
+    jacobi_products,
     key_parity,
     key_weight,
     l_derivative_check,
@@ -33,6 +34,7 @@ from permtwist.fermion import (
     tensor_omega,
     tensor_vertex_op,
     two_point,
+    untwisted_iterate_side,
     untwisted_jacobi_check,
     vac_vec,
     vec_equal_on_window,
@@ -312,16 +314,30 @@ def test_untwisted_jacobi_tensor_slots():
         assert rep.status == "pass", rep.first_mismatch
 
 
+def _mismatch_exponents(first_mismatch: str, vars) -> tuple:
+    """Exponents of the monomial named by a "at x0^a*x1^b, ..." mismatch."""
+    mono = first_mismatch.removeprefix("at ").split(",")[0]
+    exps = dict(part.split("^") for part in mono.split("*") if part != "1")
+    return tuple(F(exps.get(v, 0)) for v in vars)
+
+
 def test_jacobi_negative_control():
-    # breaking the Koszul sign must fail: compare psi/psi Jacobi with the
-    # even-case sign by tampering with u's parity via a mixed trick — instead
-    # simply check that dropping side2 entirely is caught
+    # psi/psi Jacobi holds with the Koszul sign (-1)^{|psi||psi|} = -1 ...
     w = vac_vec(R1)
+    psi = psi_vec(R1)
     box = Window.of(x0=(-2, 2), x1=(-2, 2), x2=(-2, 2))
-    rep = untwisted_jacobi_check(psi_vec(R1), psi_vec(R1), w, box)
+    rep = untwisted_jacobi_check(psi, psi, w, box)
     assert rep.status == "pass"
+    # ... and the comparison fails once the product sides take the even sign
+    floors = (F(min_exponent(psi, w)), F(min_exponent(psi, w)))
+    wrong = jacobi_products(vertex_op, psi, psi, w, box, floors, eps=1)
+    bad = vec_equal_on_window(
+        wrong, untwisted_iterate_side(psi, psi, w, box), box, "untwisted.jacobi-even-sign"
+    )
+    assert bad.status == "fail"
+    assert box.contains(("x0", "x1", "x2"), _mismatch_exponents(bad.first_mismatch, ("x0", "x1", "x2")))
     # sanity: the two-point function itself is nonzero somewhere in the box
-    tp = two_point(psi_vec(R1), psi_vec(R1), w, (-3, 3), (-3, 3))
+    tp = two_point(psi, psi, w, (-3, 3), (-3, 3))
     assert not tp.is_zero()
 
 

@@ -21,7 +21,7 @@ from permtwist.fermion import (
     vertex_op,
     virasoro_mode,
 )
-from permtwist.fseries import Window, gbinom
+from permtwist.fseries import Window, delta_truncated, gbinom
 from permtwist.twistor import (
     ObstructionError,
     conjugation_check,
@@ -351,6 +351,26 @@ def test_jacobi_k3_generators(slots):
 def test_jacobi_k3_mixed_pair():
     rep = twisted_jacobi_check(psi_vec(R3), 1, omega_vec(R3), 2, Vec.basis(R3, (-1,)))
     assert rep.status == "pass", rep.first_mismatch
+
+
+def test_mul_series_box_equals_truncated_product():
+    # one cross-slot leg of twisted_jacobi_check at k=3: j=1 moves slot 1 to
+    # slot 3, with the windows, tail and eta^j-phased step-1/3 delta that the
+    # check picks for psi, psi on the vacuum and this box
+    box = Window.of(x0=(-2, 1), x1=(-1, 1), x2=(-1, 1))
+    it = twisted_iterate(psi_vec(R3), 3, psi_vec(R3), 1, vac_vec(R3), (0, 1), (-1, 4))
+    d = delta_truncated(
+        R3, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
+        step=F(1, 3), n_range=(-3, 6), tail_order=1,
+        phase=lambda n: R3.eta(n % 3), prefix=(F(1, 3), {"x2": -1}),
+    )
+    full = it.mul_series(d)
+    cut = full.truncate_window(box)
+    assert 0 < len(cut.terms) < len(full.terms)  # the box cuts the support
+    got = it.mul_series(d, box)
+    assert got.vars == cut.vars and got.terms == cut.terms
+    # a box that misses the support entirely gives the zero series
+    assert it.mul_series(d, Window.of(x0=(40, 41), x1=(-1, 1), x2=(-1, 1))).is_zero()
 
 
 def test_jacobi_k3_conformal_pair():

@@ -212,19 +212,6 @@ def solve_exp_coeffs(
     return ExpCoeffs(var, sign, a0, a0_sqrt, known)
 
 
-def huang_solve(f: FracSeries, order: int, var: str | None = None, trunc=None) -> ExpCoeffs:
-    """The unique A_1..A_order with f = exp(- sum A_j x^{j+1} d/dx) a0^{x d/dx} x.
-
-    Sign normalization: the covering-map core ((1+x)^k - 1)/k solves to
-    A_1 = (1-k)/2, A_2 = (k^2-1)/12.
-    """
-    if var is None:
-        if len(f.vars) != 1:
-            raise ValueError("huang_solve needs var= when f has several variables")
-        var = f.vars[0]
-    return solve_exp_coeffs(f, var, order, -1, trunc=trunc)
-
-
 # ---------------------------------------------------------------------------
 # the covering map and its coefficient table
 # ---------------------------------------------------------------------------
@@ -239,12 +226,13 @@ def covering_series(ring: ScalarRing, k: int, var: str = "x") -> FracSeries:
 def compute_a(k: int, order: int) -> ExpCoeffs:
     """The coefficient table a_1..a_order of the covering map for cycle length k.
 
-    Computed by the solver, never assumed; a_1 = (1-k)/2 and a_2 = (k^2-1)/12
-    are test oracles, not inputs.
+    Computed by the solver with the flow sign -1, never assumed: f = exp(-sum
+    a_j x^{j+1} d/dx) x for the core f = ((1+x)^k - 1)/k.  a_1 = (1-k)/2 and
+    a_2 = (k^2-1)/12 are test oracles, not inputs.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return huang_solve(covering_series(get_ring(k), k), order)
+    return solve_exp_coeffs(covering_series(get_ring(k), k), "x", order, -1)
 
 
 @lru_cache(maxsize=None)

@@ -89,13 +89,6 @@ def run_rep(cfg: RunConfig):
         yield from rep_identity_check(k)
 
 
-def run_theta(cfg: RunConfig):
-    for k in cfg.ks:
-        if k == 1:
-            continue
-        yield from theta_verify(k)
-
-
 def run_conjugation(cfg: RunConfig):
     for k in cfg.odd_ks():
         ring = get_ring(k)

@@ -134,18 +134,30 @@ class Vec:
             else:
                 self.terms[key] = new
 
-    def __add__(self, other: "Vec") -> "Vec":
-        out = Vec(self.ring, dict(self.terms))
-        out.accumulate(other.terms.items(), self.ring.one)
+    def _merge(self, other: "Vec", sub: bool) -> "Vec":
+        # coefficients add or subtract directly: no scalar multiplication
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            cur = terms.get(key)
+            new = (-c if sub else c) if cur is None else (cur - c if sub else cur + c)
+            if new.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = new
+        out = Vec(self.ring)
+        out.terms = terms
         return out
+
+    def __add__(self, other: "Vec") -> "Vec":
+        return self._merge(other, False)
 
     def __sub__(self, other: "Vec") -> "Vec":
-        out = Vec(self.ring, dict(self.terms))
-        out.accumulate(other.terms.items(), -self.ring.one)
-        return out
+        return self._merge(other, True)
 
     def __neg__(self) -> "Vec":
-        return self.scale(-1)
+        out = Vec(self.ring)
+        out.terms = {key: -c for key, c in self.terms.items()}
+        return out
 
     def scale(self, c) -> "Vec":
         c = c if isinstance(c, Scalar) else self.ring.rational(Fr(c))
@@ -408,15 +420,23 @@ class VecSeries:
 
         return allvars, remap(self), remap(other)
 
-    def __add__(self, other: "VecSeries") -> "VecSeries":
+    def _merge(self, other: "VecSeries", sub: bool) -> "VecSeries":
         allvars, ta, tb = self._aligned(other)
         out = VecSeries(self.ring, allvars, ta)
         for exps, vec in tb.items():
-            out.add_term(exps, vec)
+            cur = out.terms.get(exps)
+            new = (-vec if sub else vec) if cur is None else (cur - vec if sub else cur + vec)
+            if new.is_zero():
+                out.terms.pop(exps, None)
+            else:
+                out.terms[exps] = new
         return out
 
+    def __add__(self, other: "VecSeries") -> "VecSeries":
+        return self._merge(other, False)
+
     def __sub__(self, other: "VecSeries") -> "VecSeries":
-        return self + other.scale(-1)
+        return self._merge(other, True)
 
     def scale(self, c) -> "VecSeries":
         return VecSeries(
@@ -583,11 +603,6 @@ def vertex_op(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
     return out
 
 
-def tensor_vertex_op(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
-    """Alias of vertex_op for tensor-key vectors (same dispatch underneath)."""
-    return vertex_op(u, target, window, var)
-
-
 # ---------------------------------------------------------------------------
 # permutation action
 # ---------------------------------------------------------------------------
@@ -655,16 +670,24 @@ def two_point(u: Vec, v: Vec, w: Vec, e1_range, e2_range, vars=("x1", "x2")) -> 
     return two_sided(vertex_op, u, v, w, e1_range, e2_range, vars)
 
 
-def iterate_series(u: Vec, v: Vec, w: Vec, e0_range, e2_range, vars=("x0", "x2")) -> VecSeries:
-    """Y(Y(u,x0)v, x2)w on an exponent rectangle (each entry exact)."""
-    out = VecSeries(w.ring, vars)
-    for e0 in range(math.ceil(Fr(e0_range[0])), math.floor(Fr(e0_range[1])) + 1):
-        inner = vertex_mode(u, -e0 - 1, v)
-        if inner.is_zero():
+def iterate_modesum(field, u: Vec, v: Vec, w: Vec, x0_range, x2_range) -> VecSeries:
+    """sum_e0 x0^e0 field(u_(-e0-1)v, x2) w on the rectangle (each entry exact).
+
+    This is the iterate field(Y(u,x0)v, x2) w by its meaning, one plain
+    product state per x0-exponent.  field is as in two_sided, with a Vec as
+    its state.
+    """
+    out = VecSeries(w.ring, ("x0", "x2"))
+    lo2, hi2 = Fr(x2_range[0]), Fr(x2_range[1])
+    if lo2 > hi2:
+        return out
+    win2 = Window.of(x2=(lo2, hi2))
+    for e0 in range(math.ceil(Fr(x0_range[0])), math.floor(Fr(x0_range[1])) + 1):
+        uv = vertex_mode(u, -e0 - 1, v)
+        if uv.is_zero():
             continue
-        for e2 in range(math.ceil(Fr(e2_range[0])), math.floor(Fr(e2_range[1])) + 1):
-            vec = vertex_mode(inner, -e2 - 1, w)
-            out.add_term((Fr(e0), Fr(e2)), vec)
+        for (f2,), vec in field(uv, w, win2, "x2").terms.items():
+            out.add_term((Fr(e0), f2), vec)
     return out
 
 
@@ -694,24 +717,41 @@ def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
             n_range=(-h0 - 1, -l0 - 1), tail_order=tail, prefix=(1, {"x0": -1}),
         )
         sides.append(rect.mul_series(delta, box))
-    return sides[0] - sides[1].scale(eps)
+    return sides[0] - sides[1] if eps == 1 else sides[0] + sides[1]
 
 
-def untwisted_iterate_side(u: Vec, v: Vec, w: Vec, box: Window) -> VecSeries:
-    """x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v, x2)w on the box, each coefficient exact."""
+def iterate_side(ring: ScalarRing, build, box: Window, e0, *, step=1, shift=0, scale=1,
+                 phases=(None,)) -> VecSeries:
+    """The iterate side of a Jacobi identity, on the box (x0 integral):
+
+      x2^-1 scale sum_i sum_n phase_i(n) ((x1-x0)/x2)^(n*step+shift) I_i(x0,x2)
+
+    build(x0_range, x2_range) returns the iterates I_i, one per phase (None
+    for no phase), each exact on that rectangle and zero below x0^e0.  The
+    binomial tail of (x1-x0)^r reaches from the box's top x0 down to e0; n
+    runs over every r that puts some tail term's x1 inside the box, and the
+    x2 rectangle is what those r need, so every box coefficient is exact.  A
+    box wholly below x0^e0 gives zero without building anything.
+    """
     b = box.as_dict()
     (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
-    e0min = Fr(min_exponent(u, v))
-    tail = int(h0 - e0min)
-    n_lo, n_hi = int(l1), int(h1 + h0 - e0min)
-    rect = iterate_series(
-        u, v, w, (max(e0min, l0 - tail), h0), (l2 + n_lo + 1, h2 + n_hi + 1)
-    )
-    delta = delta_truncated(
-        w.ring, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
-        n_range=(n_lo, n_hi), tail_order=tail, prefix=(1, {"x2": -1}),
-    )
-    return rect.mul_series(delta, box)
+    step, shift = Fr(step), Fr(shift)
+    out = VecSeries(ring, ("x0", "x1", "x2"))
+    tail = int(h0 - e0)
+    if tail < 0:
+        return out
+    n_lo = math.ceil((l1 - shift) / step)
+    n_hi = math.floor((h1 + tail - shift) / step)
+    rects = build((max(e0, int(l0) - tail), int(h0)),
+                  (l2 + n_lo * step + shift + 1, h2 + n_hi * step + shift + 1))
+    for phase, rect in zip(phases, rects, strict=True):
+        delta = delta_truncated(
+            ring, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
+            step=step, shift=shift, n_range=(n_lo, n_hi), tail_order=tail, phase=phase,
+            prefix=(scale, {"x2": -1}),
+        )
+        out = out + rect.mul_series(delta, box)
+    return out
 
 
 def untwisted_jacobi_check(
@@ -736,9 +776,13 @@ def untwisted_jacobi_check(
     eps = (-1) ** (u.parity() * v.parity())
     floors = (Fr(min_exponent(u, w)), Fr(min_exponent(v, w)))
     lhs = jacobi_products(vertex_op, u, v, w, box, floors, eps)
+    rhs = iterate_side(
+        w.ring, lambda r0, r2: [iterate_modesum(vertex_op, u, v, w, r0, r2)],
+        box, min_exponent(u, v),
+    )
     return vec_equal_on_window(
         lhs,
-        untwisted_iterate_side(u, v, w, box),
+        rhs,
         box,
         identity,
         anchors=(

@@ -141,10 +141,6 @@ class FracSeries:
         _, a, b = self._aligned(other)
         return a == b
 
-    def __hash__(self):  # pragma: no cover - not used as dict key in hot paths
-        _vars, terms = self.vars, self.terms
-        return hash((self.ring.k, _vars, tuple(sorted((k, hash(c)) for k, c in terms.items()))))
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "FracSeries") -> "FracSeries":
@@ -281,10 +277,6 @@ class FracSeries:
             else:
                 out[key] = s
         return FracSeries(self.ring, self.vars, out, None, self.meta)
-
-    def phi_derivative(self) -> "FracSeries":
-        """d/dphi acting from the left: phi -> 1 on phi-degree-1 terms."""
-        return self.strip_phi()
 
     # -- substitutions -------------------------------------------------------------
 

@@ -32,6 +32,8 @@ from .exactnum import Scalar, ScalarRing, get_ring
 from .fermion import (
     Vec,
     VecSeries,
+    iterate_modesum,
+    iterate_side,
     jacobi_products,
     key_parity,
     key_weight,
@@ -52,7 +54,6 @@ from .fseries import (
     FracSeries,
     Window,
     binom_expand,
-    delta_truncated,
     gbinom,
     unit_pow,
 )
@@ -262,6 +263,11 @@ def twisted_field(u: Vec, slot: int, target: Vec, window: Window, *,
     """The twisted field of u embedded in the given slot (1-indexed)."""
     base = ybar(u, target, window, var=var, a_override=a_override)
     return other_slots(base, (slot - 1) % target.ring.k, var=var)
+
+
+def _slot_field(slot: int):
+    """twisted_field in one slot, as a field(state, target, window, var)."""
+    return lambda state, target, window, var: twisted_field(state, slot, target, window, var=var)
 
 
 def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSeries:
@@ -535,33 +541,25 @@ def _bracket_check(apply_field, u: Vec, v: Vec, w: Vec, box: Window, *,
       rhs_scale * sum_{m>=0} sum_n C(n/den+offset, m)(-1)^m
           x1^{n/den+offset-m} x2^{-n/den-offset-1} F(u_m v, x2) w
 
-    which is the residue pairing of the step-1/den delta (dressed by the
-    offset exponent) against the iterate; m >= 0 only since the residue kills
-    the creation half.  Exact coefficientwise on the box.
+    which is the x0^-1 coefficient of the Jacobi iterate side: the step-1/den
+    delta, dressed by the offset exponent, paired with the iterate on the box
+    x0 = -1, where the x0^m term of (x1-x0)^r meets F(u_m v, x2) w at
+    x0^{-m-1}.  Only m >= 0 reach x0^-1: the residue kills the creation half.
+    Exact coefficientwise on the box.
     """
-    ring = w.ring
     b = box.as_dict()
-    (a1, b1), (a2, b2) = b["x1"], b["x2"]
+    p12 = two_sided(apply_field, u, v, w, b["x1"], b["x2"], ("x1", "x2"))
+    p21 = two_sided(apply_field, v, u, w, b["x2"], b["x1"], ("x2", "x1"))
     eps = (-1) ** (u.parity() * v.parity())
-    p12 = two_sided(apply_field, u, v, w, (a1, b1), (a2, b2), ("x1", "x2"))
-    p21 = two_sided(apply_field, v, u, w, (a2, b2), (a1, b1), ("x2", "x1"))
-    lhs = p12 - p21.scale(eps)
-    rhs = VecSeries(ring, ("x1", "x2"))
-    for m in range(0, -min_exponent(u, v)):
-        uv = vertex_mode(u, m, v)
-        if uv.is_zero():
-            continue
-        n_lo = math.ceil(den * (Fr(a1) + m - offset))
-        n_hi = math.floor(den * (Fr(b1) + m - offset))
-        for n in range(n_lo, n_hi + 1):
-            r = Fr(n, den) + offset
-            c = gbinom(r, m) * Fr((-1) ** m) * rhs_scale
-            if c == 0:
-                continue
-            ser = apply_field(uv, w, Window.of(x2=(Fr(a2) + r + 1, Fr(b2) + r + 1)), "x2")
-            for (f2,), vec in ser.terms.items():
-                rhs.add_term((r - m, f2 - r - 1), vec, factor=c)
-    return vec_equal_on_window(lhs, rhs, box, identity, anchors=anchors, k=k)
+    lhs = p12 - p21 if eps == 1 else p12 + p21
+    rhs = iterate_side(
+        w.ring, lambda r0, r2: [iterate_modesum(apply_field, u, v, w, r0, r2)],
+        Window.of(x0=(-1, -1), x1=b["x1"], x2=b["x2"]), min_exponent(u, v),
+        step=Fr(1, den), shift=offset, scale=rhs_scale,
+    )
+    return vec_equal_on_window(
+        lhs, rhs.shift_exponents("x0", 1), box, identity, anchors=anchors, k=k
+    )
 
 
 def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
@@ -684,10 +682,12 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
         outer = ybar(u, ivec, Window.of(y=(y_lo, y_hi)), var="y")
         for (f1,), res in outer.terms.items():
             prect[(f1, f2)] = res
-    binN = [Fr(math.comb(N, l) * (-1) ** l) for l in range(N + 1)]
+    binN = [ring.rational(math.comb(N, l) * (-1) ** l) for l in range(N + 1)]
     qcache: dict[tuple[Fr, Fr], Vec | None] = {}
 
     def qplain(g1: Fr, g2: Fr) -> Vec | None:
+        # summed into a fresh vector: prect entries and cached results are
+        # never mutated
         key = (g1, g2)
         if key in qcache:
             return qcache[key]
@@ -696,8 +696,9 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
             p = prect.get((g1 - N + l, g2 - l))
             if p is None:
                 continue
-            p = p.scale(binN[l])
-            acc = p if acc is None else acc + p
+            if acc is None:
+                acc = Vec(ring)
+            acc.accumulate(p.terms.items(), binN[l])
         qcache[key] = acc
         return acc
 
@@ -728,38 +729,18 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
                     q = qplain(-1 - Fr(n, k) + i, x2e + Fr(n, k) + 1)
                     if q is None or q.is_zero():
                         continue
-                    cls = (-n) % k
-                    cur = buckets.get(cls)
-                    q = q.scale(cb * sgn)
-                    buckets[cls] = q if cur is None else cur + q
+                    bucket = buckets.setdefault((-n) % k, Vec(ring))
+                    bucket.accumulate(q.terms.items(), ring.rational(cb * sgn))
                 acc = Vec(ring)
                 for cls, vecsum in buckets.items():
-                    acc = acc + vecsum.scale(ph_tab[cls])
+                    acc.accumulate(vecsum.terms.items(), ph_tab[cls])
                 out[ci].add_term((Fr(x0e), x2e), acc)
             x2e += Fr(1, k)
     return out
 
 
-def _iterate_modesum(u: Vec, slot: int, v: Vec, w: Vec, x0_range, x2_range) -> VecSeries:
-    """Same-slot iterate by its direct meaning: Y(u,x0)v lives entirely in one
-    slot, so Yg(Y(u^s,x0)v^s, x2) w = sum_e0 x0^{e0} Yg((u_{-e0-1}v)^s, x2) w."""
-    ring = w.ring
-    out = VecSeries(ring, ("x0", "x2"))
-    win2 = Window.of(x2=(Fr(x2_range[0]), Fr(x2_range[1])))
-    if win2.as_dict()["x2"][0] > win2.as_dict()["x2"][1]:
-        return out
-    for e0 in range(int(x0_range[0]), int(x0_range[1]) + 1):
-        uv = vertex_mode(u, -e0 - 1, v)
-        if uv.is_zero():
-            continue
-        for (f2,), vec in twisted_field(uv, slot, w, win2, var="x2").terms.items():
-            out.add_term((Fr(e0), f2), vec)
-    return out
-
-
 def twisted_iterate(u: Vec, su: int, v: Vec, sv: int, w: Vec,
-                    x0_range, x2_range, *, N: int | None = None,
-                    vars=("x0", "x2")) -> VecSeries:
+                    x0_range, x2_range, *, N: int | None = None) -> VecSeries:
     """Yg(Y(u-in-slot-su, x0) v-in-slot-sv, x2) w on the rectangle, by the
     locality-regularized residue form (never materializing two-slot states).
 
@@ -768,17 +749,10 @@ def twisted_iterate(u: Vec, su: int, v: Vec, sv: int, w: Vec,
     nonvanishing same-slot product mode; any larger N gives the same answer
     (checked in the tests), which is the regularization being well-defined.
     """
-    ring = w.ring
     if N is None:
         N = max(1, -min_exponent(u, v))
-    job = (((ring.one, su),), x0_range, x2_range)
-    res = _iterate_shared(u, [job], v, sv, w, N)[0]
-    if tuple(vars) == ("x0", "x2"):
-        return res
-    renamed = VecSeries(ring, vars)
-    for exps, vec in res.terms.items():
-        renamed.add_term(exps, vec)
-    return renamed
+    job = (((w.ring.one, su),), x0_range, x2_range)
+    return _iterate_shared(u, [job], v, sv, w, N)[0]
 
 
 def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
@@ -788,22 +762,13 @@ def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
 
       Yg(Y(u^s, x0) v^s, x2) w == sum_{e0} x0^{e0} Yg((u_{-e0-1} v)^s, x2) w
     """
-    ring = w.ring
     got = twisted_iterate(u, slot, v, slot, w, x0_range, x2_range)
-    want = VecSeries(ring, ("x0", "x2"))
-    win2 = Window.of(x2=(Fr(x2_range[0]), Fr(x2_range[1])))
-    for e0 in range(int(x0_range[0]), int(x0_range[1]) + 1):
-        uv = vertex_mode(u, -e0 - 1, v)
-        ser = twisted_field(uv, slot, w, win2, var="x2") if not uv.is_zero() else None
-        if ser is None:
-            continue
-        for (f2,), vec in ser.terms.items():
-            want.add_term((Fr(e0), f2), vec)
+    want = iterate_modesum(_slot_field(slot), u, v, w, x0_range, x2_range)
     box = Window.of(x0=x0_range, x2=x2_range)
     return vec_equal_on_window(
         got, want, box, identity,
         anchors=("Yg(Y(u^s,x0)v^s,x2)w == sum_e0 x0^e0 Yg((u_(-e0-1)v)^s,x2)w",),
-        k=ring.k,
+        k=w.ring.k,
     )
 
 
@@ -832,48 +797,38 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
     k = ring.k
     if box is None:
         box = Window.of(x0=(-2, 1), x1=(-1, 1), x2=(-1, 1))
-    b = box.as_dict()
-    (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
-    l0, h0 = int(l0), int(h0)
     one = ring.one
     lhs = jacobi_products(
         _parts_field, ((one, u, s1),), ((one, v, s2),), w, box,
         (twisted_floor(u, w), twisted_floor(v, w)), (-1) ** (u.parity() * v.parity()),
     )
-    # -- iterate side: j-sum of eta-phased fractional deltas.  Each j gets its
-    # own windows: a cross-slot iterate has x0-floor 0 (the other slot's field
-    # can only create out of its vacuum), while the same-slot leg reaches down
-    # to the deepest product mode.  The same-slot leg is evaluated directly as
-    # a mode sum; cross-slot legs share one residue-form rectangle.
+    # -- iterate side: j-sum of eta-phased fractional deltas.  The same-slot
+    # leg (g^j u^s1 in slot s2) reaches down to the deepest product mode and
+    # is a plain mode sum.  A cross-slot iterate has x0-floor 0 (the other
+    # slot's field can only create out of its vacuum), so the cross-slot legs
+    # share one window and one residue-form rectangle.
     e0min = min_exponent(u, v)
     N = max(1, -e0min)
-    legs = []
-    cross_jobs = []
-    for j in range(k):
-        slot_j = ((s1 - 1 - j) % k) + 1
-        e0_j = e0min if slot_j == s2 else 0
-        tail3 = int(h0 - e0_j)
-        n3_lo = math.ceil(k * Fr(l1))
-        n3_hi = math.floor(k * (Fr(h1) + tail3))
-        x0_rng = (max(e0_j, l0 - tail3), h0)
-        x2_rng = (Fr(l2) + Fr(n3_lo, k) + 1, Fr(h2) + Fr(n3_hi, k) + 1)
-        dj = delta_truncated(
-            ring, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
-            step=Fr(1, k), n_range=(n3_lo, n3_hi), tail_order=tail3,
-            phase=(lambda n, j=j: ring.eta((j * n) % k)),
-            prefix=(Fr(1, k), {"x2": -1}),
+
+    def phase(j):
+        return lambda n: ring.eta((j * n) % k)
+
+    j_same = (s1 - s2) % k
+    cross = [j for j in range(k) if j != j_same]
+
+    def cross_legs(r0, r2):
+        jobs = [(((one, ((s1 - 1 - j) % k) + 1),), r0, r2) for j in cross]
+        return _iterate_shared(u, jobs, v, s2, w, N)
+
+    rhs = iterate_side(
+        ring, lambda r0, r2: [iterate_modesum(_slot_field(s2), u, v, w, r0, r2)],
+        box, e0min, step=Fr(1, k), scale=Fr(1, k), phases=(phase(j_same),),
+    )
+    if cross:
+        rhs = rhs + iterate_side(
+            ring, cross_legs, box, 0, step=Fr(1, k), scale=Fr(1, k),
+            phases=tuple(phase(j) for j in cross),
         )
-        if slot_j == s2:
-            legs.append((dj, _iterate_modesum(u, s2, v, w, x0_rng, x2_rng)))
-        else:
-            cross_jobs.append((dj, (((one, slot_j),), x0_rng, x2_rng)))
-    if cross_jobs:
-        its = _iterate_shared(u, [job for _, job in cross_jobs], v, s2, w, N)
-        legs.extend((dj, it) for (dj, _), it in zip(cross_jobs, its))
-    rhs = None
-    for dj, it in legs:
-        term = it.mul_series(dj, box)
-        rhs = term if rhs is None else rhs + term
     return vec_equal_on_window(
         lhs, rhs, box, identity,
         anchors=(
@@ -899,9 +854,6 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
     k = ring.k
     if box is None:
         box = Window.of(x0=(-2, 1), x1=(-1, 1), x2=(-1, 1))
-    b = box.as_dict()
-    (l0, h0), (l1, h1), (l2, h2) = b["x0"], b["x1"], b["x2"]
-    l0, h0 = int(l0), int(h0)
     parts_a = tuple(
         (ring.eta((-i * r) % k) * Fr(1, k), u, ((-i) % k) + 1) for i in range(k)
     )
@@ -911,27 +863,18 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
     )
     e0min = min_exponent(u, v)
     N = max(1, -e0min)
-    tail3 = int(h0 - e0min)
-    n_lo = math.ceil(Fr(l1) + Fr(r, k))
-    n_hi = math.floor(Fr(h1) + Fr(r, k) + tail3)
-    x0_rng = (max(e0min, l0 - tail3), h0)
-    x2_rng = (Fr(l2) + n_lo - Fr(r, k) + 1, Fr(h2) + n_hi - Fr(r, k) + 1)
     # split A into its slot-s2 component (direct mode sum) and the rest
     # (residue form); all share one delta, hence one window.
-    same = [c for c, _state, slot in parts_a if slot == s2]
+    c_same = next(c for c, _state, slot in parts_a if slot == s2)
     cross = tuple((c, slot) for c, _state, slot in parts_a if slot != s2)
-    it = None
-    if same:
-        it = _iterate_modesum(u, s2, v, w, x0_rng, x2_rng).scale(same[0])
-    if cross:
-        part = _iterate_shared(u, [(cross, x0_rng, x2_rng)], v, s2, w, N)[0]
-        it = part if it is None else it + part
-    d3 = delta_truncated(
-        ring, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
-        shift=Fr(-r, k), n_range=(n_lo, n_hi), tail_order=tail3,
-        prefix=(1, {"x2": -1}),
-    )
-    rhs = it.mul_series(d3, box)
+
+    def iterate_a(r0, r2):
+        it = iterate_modesum(_slot_field(s2), u, v, w, r0, r2).scale(c_same)
+        if cross:
+            it = it + _iterate_shared(u, [(cross, r0, r2)], v, s2, w, N)[0]
+        return [it]
+
+    rhs = iterate_side(ring, iterate_a, box, e0min, shift=Fr(-r, k))
     return vec_equal_on_window(
         lhs, rhs, box, identity,
         anchors=(

@@ -16,6 +16,8 @@ from permtwist.fermion import (
     clifford_apply_state,
     eigenprojection,
     graded_dims,
+    iterate_modesum,
+    iterate_side,
     jacobi_products,
     key_parity,
     key_weight,
@@ -32,9 +34,7 @@ from permtwist.fermion import (
     state_weight,
     tensor_basis,
     tensor_omega,
-    tensor_vertex_op,
     two_point,
-    untwisted_iterate_side,
     untwisted_jacobi_check,
     vac_vec,
     vec_equal_on_window,
@@ -217,16 +217,6 @@ def test_tensor_omega_squares_like_virasoro():
     assert vertex_mode(om, 3, om) == vac_vec(ring, 2).scale(F(1, 2))
 
 
-def test_tensor_vertex_op_alias():
-    ring = get_ring(2)
-    win = Window.of(x=(-2, 2))
-    u = slot_embed(psi_vec(ring), 2, 1)
-    a = tensor_vertex_op(u, vac_vec(ring, 2), win)
-    b = vertex_op(u, vac_vec(ring, 2), win)
-    rep = vec_equal_on_window(a, b, win, "alias")
-    assert rep.status == "pass"
-
-
 # ---------------------------------------------------------------------------
 # permutation action and eigenprojections
 # ---------------------------------------------------------------------------
@@ -331,14 +321,42 @@ def test_jacobi_negative_control():
     # ... and the comparison fails once the product sides take the even sign
     floors = (F(min_exponent(psi, w)), F(min_exponent(psi, w)))
     wrong = jacobi_products(vertex_op, psi, psi, w, box, floors, eps=1)
-    bad = vec_equal_on_window(
-        wrong, untwisted_iterate_side(psi, psi, w, box), box, "untwisted.jacobi-even-sign"
+    iterate = iterate_side(
+        R1, lambda r0, r2: [iterate_modesum(vertex_op, psi, psi, w, r0, r2)],
+        box, min_exponent(psi, psi),
     )
+    bad = vec_equal_on_window(wrong, iterate, box, "untwisted.jacobi-even-sign")
     assert bad.status == "fail"
     assert box.contains(("x0", "x1", "x2"), _mismatch_exponents(bad.first_mismatch, ("x0", "x1", "x2")))
     # sanity: the two-point function itself is nonzero somewhere in the box
     tp = two_point(psi, psi, w, (-3, 3), (-3, 3))
     assert not tp.is_zero()
+
+
+def test_iterate_modesum_matches_nested_modes():
+    # Y(Y(u,x0)v, x2)w coefficient by coefficient: the x0^e0 x2^e2 term is
+    # (u_(-e0-1)v)_(-e2-1) w, including the zero ones below the weight floors
+    v, w = psi_vec(R1), Vec.basis(R1, (-2, -1))
+    for uname, u in _test_vectors(R1).items():
+        it = iterate_modesum(vertex_op, u, v, w, (-4, 1), (-4, 2))
+        assert it.vars == ("x0", "x2") and not it.is_zero()
+        assert it.exponents_of("x0") <= set(range(-4, 2))
+        assert it.exponents_of("x2") <= set(range(-4, 3))
+        for e0 in range(-4, 2):
+            for e2 in range(-4, 3):
+                want = vertex_mode(vertex_mode(u, -e0 - 1, v), -e2 - 1, w)
+                assert it.coefficient({"x0": e0, "x2": e2}) == want, (uname, e0, e2)
+
+
+def test_iterate_side_below_x0_floor_is_zero_without_building():
+    # the x0^-1 box of a bracket against an iterate with x0-floor 0 (a
+    # cross-slot leg): no delta term can reach it, so nothing is built
+    def build(_r0, _r2):
+        raise AssertionError("build called for a box below the x0 floor")
+
+    box = Window.of(x0=(-1, -1), x1=(-2, 2), x2=(-2, 2))
+    side = iterate_side(R1, build, box, 0, step=F(1, 3), shift=F(1, 3), scale=F(1, 3))
+    assert side.is_zero() and side.vars == ("x0", "x1", "x2")
 
 
 @pytest.mark.parametrize("uname", ["psi", "omega", "dpsi"])

@@ -215,13 +215,25 @@ def emit(rows, out=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_ks(values, default) -> tuple[int, ...]:
+def _parse_ks(values, default=()) -> tuple[int, ...]:
     ks = tuple(values) if values else default
     bad = [k for k in ks if k < 1]
     if bad:
         print(f"--k values must be >= 1, got {bad[0]}", file=sys.stderr)
         raise SystemExit(2)
     return ks
+
+
+def _parse_fractions(*texts) -> list[Fr] | None:
+    """The fraction arguments, or None after naming an unreadable one on stderr."""
+    out = []
+    for text in texts:
+        try:
+            out.append(Fr(text))
+        except (ValueError, ZeroDivisionError):
+            print(f"unreadable fraction argument {text!r}", file=sys.stderr)
+            return None
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,16 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_coeffs(args) -> int:
-    for k in args.k:
+    for k in _parse_ks(args.k):
         a = a_table(k, args.order)
         print(json.dumps({"k": k, "order": args.order, "a": [str(c) for c in a]}))
     return 0
 
 
 def cmd_char(args) -> int:
-    cutoff = Fr(args.cutoff)
+    fracs = _parse_fractions(args.cutoff)
+    if fracs is None:
+        return 2
+    (cutoff,) = fracs
     status = 0
-    for k in sorted(args.k):
+    for k in sorted(_parse_ks(args.k)):
         if k % 2 == 0:
             rep = evidence_even(k, cutoff)
             print(json.dumps({"check": "char", **rep.to_json()}))
@@ -287,12 +302,10 @@ def cmd_char(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        max_weight = Fr(args.max_weight)
-        cutoff = Fr(args.cutoff)
-    except (ValueError, ZeroDivisionError):
-        print("unreadable fraction argument", file=sys.stderr)
+    fracs = _parse_fractions(args.max_weight, args.cutoff)
+    if fracs is None:
         return 2
+    max_weight, cutoff = fracs
     names = CHECK_NAMES if args.name == "all" else (args.name,)
     default_ks = (1, 2, 3) if args.name in ("delta", "rep") else (1, 2, 3, 4, 5)
     ks = _parse_ks(args.k, default_ks)

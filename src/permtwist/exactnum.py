@@ -12,8 +12,15 @@ cyclotomic field in that case.  For general k the composite quotient may have
 zero divisors; that is safe here because the engine only ever inverts monomial
 units q*s^eps*t^m (asserted, never silently divided).
 
-All values are immutable and normalized eagerly, so structural equality equals
-ring equality.
+A scalar is dense over the basis s^eps * t^m (eps in {0, 1}, 0 <= m < deg
+Phi_k), basis slot eps*deg + m: a tuple of integer numerators over one
+positive integer denominator, with gcd(numerators, denominator) == 1 and zero
+stored as all-zero numerators over 1.  Values are immutable and normalized
+eagerly, so structural equality equals ring equality.  Phi_k is monic, so the
+product of two basis monomials is an integer combination of basis monomials;
+each ring tabulates these once, and a product is integer multiply-adds over
+the nonzero slot pairs followed by one gcd.  A product with a rational operand
+(only the constant slot nonzero) scales the other operand's numerators instead.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import math
+from operator import add, neg, sub
 import re
 
 Rat = Fraction
@@ -72,16 +80,11 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-# Basis monomials are keyed (eps, m): the element s^eps * t^m with
-# eps in {0, 1} and 0 <= m < deg Phi_k.  Coefficient maps drop zeros.
-_Key = tuple[int, int]
-
-
 class ScalarRing:
     """The ring Q[t,s]/(Phi_k(t), s^2 - k) for one fixed k.
 
-    Holds the reduction table for powers of t and the square-root collapse;
-    acts as a factory for Scalar values.
+    Holds the integer product table of the basis slots and the square-root
+    collapse; acts as a factory for Scalar values.
     """
 
     def __init__(self, k: int):
@@ -89,50 +92,53 @@ class ScalarRing:
             raise ValueError("k must be a positive integer")
         self.k = k
         phi = cyclotomic_poly(k)
-        self.degree = len(phi) - 1
+        deg = self.degree = len(phi) - 1
         root = math.isqrt(k)
         self.sqrt_collapse = root if root * root == k else None
 
-        # t^m for m up to 2k expressed in the basis 1, t, ..., t^(deg-1).
-        # Products of reduced elements only reach 2*(deg-1), but eta(p)
-        # construction wants any p < k, so cover both.
-        lead = Fraction(phi[-1])  # always 1 for cyclotomics, kept for clarity
-        reduction: list[dict[int, Fraction]] = []
-        for m in range(2 * k + 1):
-            if m < self.degree:
-                reduction.append({m: Fraction(1)})
-                continue
-            # t^m = t * t^(m-1), then knock down the top power via Phi_k.
-            prev = reduction[m - 1]
-            cur: dict[int, Fraction] = {}
-            for e, c in prev.items():
-                if e + 1 < self.degree:
-                    cur[e + 1] = cur.get(e + 1, Fraction(0)) + c
-                else:
-                    # t^deg = -(phi[0] + phi[1] t + ...)/lead
-                    for j in range(self.degree):
-                        cur[j] = cur.get(j, Fraction(0)) - c * Fraction(phi[j]) / lead
-            reduction.append({e: c for e, c in cur.items() if c})
-        self._tpow = reduction
+        # t^m for m up to 2k over the basis 1, t, ..., t^(deg-1).  Products of
+        # reduced elements only reach 2*(deg-1), but eta(p) construction wants
+        # any p < k, so cover both.  Phi_k is monic, so t^deg = -(phi[0] + ...
+        # + phi[deg-1] t^(deg-1)) keeps every coefficient an integer.
+        assert phi[-1] == 1, f"Phi_{k} is not monic: {phi}"
+        tpow = [tuple(int(j == m) for j in range(deg)) for m in range(deg)]
+        for _ in range(deg, 2 * k + 1):
+            prev = tpow[-1]
+            tpow.append(tuple((prev[j - 1] if j else 0) - prev[-1] * phi[j] for j in range(deg)))
+        self._tpow = tpow
 
-        self.zero = Scalar(self, {})
-        self.one = Scalar(self, {(0, 0): Fraction(1)})
+        def slot_product(i: int, j: int) -> tuple[tuple[int, int], ...]:
+            (e1, m1), (e2, m2) = divmod(i, deg), divmod(j, deg)
+            eps, scale = (0, k) if e1 + e2 == 2 else (e1 + e2, 1)
+            return tuple((eps * deg + b, scale * c) for b, c in enumerate(tpow[m1 + m2]) if c)
+
+        # slot i * slot j -> ((slot, integer coefficient), ...)
+        self._table = tuple(tuple(slot_product(i, j) for j in range(2 * deg)) for i in range(2 * deg))
+        self._zeros = (0,) * (2 * deg - 1)  # every slot but the constant one
+        self.zero = Scalar(self, (0,) + self._zeros, 1, True)
+        self.one = Scalar(self, (1,) + self._zeros, 1, True)
 
     # -- element constructors -------------------------------------------------
 
     def rational(self, q) -> Scalar:
-        q = Fraction(q)
-        return Scalar(self, {(0, 0): q} if q else {})
+        if isinstance(q, int):
+            return Scalar(self, (int(q),) + self._zeros, 1, True)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return Scalar(self, (q.numerator,) + self._zeros, q.denominator, True)
+
+    def _slot(self, i: int) -> Scalar:
+        """The basis monomial of slot i."""
+        return Scalar(self, (0,) * i + (1,) + self._zeros[i:], 1, i == 0)
 
     def eta(self, power: int = 1) -> Scalar:
         """t^power, reduced (eta is the fixed primitive k-th root of unity)."""
-        m = power % self.k
-        return Scalar(self, {(0, e): c for e, c in self._tpow[m].items()})
+        return Scalar(self, self._tpow[power % self.k] + (0,) * self.degree)
 
     def sqrt_k(self) -> Scalar:
         if self.sqrt_collapse is not None:
             return self.rational(self.sqrt_collapse)
-        return Scalar(self, {(1, 0): Fraction(1)})
+        return self._slot(self.degree)
 
     def sqrt_k_pow(self, n: int) -> Scalar:
         """(sqrt k)^n for any integer n, using s^2 = k and s^-1 = s/k."""
@@ -164,14 +170,43 @@ def get_ring(k: int) -> ScalarRing:
     return ScalarRing(k)
 
 
+def _reduced(ring: ScalarRing, num, den: int) -> "Scalar":
+    """The scalar num/den (den > 0), with the common gcd cancelled."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return Scalar(ring, tuple(num), den)
+    return Scalar(ring, tuple(c // g for c in num), den // g)
+
+
+def _add(a: "Scalar", b, op) -> "Scalar":
+    """op(a, b) for op in {add, sub}, over the lcm of the two denominators."""
+    if isinstance(b, (int, Fraction)):
+        b = a.ring.rational(b)
+    a._check(b)
+    da, db = a.den, b.den
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    if a.rat and b.rat:
+        n = op(a.num[0] * fa, b.num[0] * fb)
+        g = math.gcd(n, da * fa)
+        return Scalar(a.ring, (n // g,) + a.ring._zeros, da * fa // g, True)
+    if da == db:
+        return _reduced(a.ring, tuple(map(op, a.num, b.num)), da)
+    return _reduced(a.ring, tuple(op(x * fa, y * fb) for x, y in zip(a.num, b.num)), da * fa)
+
+
 class Scalar:
-    """Immutable element of a ScalarRing in canonical reduced form."""
+    """Immutable element of a ScalarRing: integer numerators `num` (one per
+    basis slot) over the denominator `den`, in lowest terms.  `rat` is true
+    exactly when only the constant slot is nonzero."""
 
-    __slots__ = ("ring", "coeffs", "_hash")
+    __slots__ = ("ring", "num", "den", "rat", "_hash")
 
-    def __init__(self, ring: ScalarRing, coeffs: dict[_Key, Fraction]):
+    def __init__(self, ring: ScalarRing, num: tuple[int, ...], den: int = 1, rat: bool | None = None):
         self.ring = ring
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
+        self.num = num
+        self.den = den
+        self.rat = not any(num[1:]) if rat is None else rat
         self._hash = None
 
     # -- ring structure --------------------------------------------------------
@@ -183,49 +218,54 @@ class Scalar:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.rational(other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return Scalar(self.ring, out)
+        return _add(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {key: -c for key, c in self.coeffs.items()})
+        return Scalar(self.ring, tuple(map(neg, self.num)), self.den, self.rat)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.rational(other)
-        return self + (-other)
+        return _add(self, other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _add(self.ring.rational(other), self, sub)
+
+    def _scale(self, p: int, r: int) -> "Scalar":
+        """self * p/r for p/r in lowest terms, r > 0: no product table."""
+        num = self.num
+        if not p or (self.rat and not num[0]):
+            return self.ring.zero
+        # gcd(num, den) == 1 and gcd(p, r) == 1, so cancelling p against den
+        # and r against num leaves the result in lowest terms
+        g = math.gcd(p, self.den)
+        h = math.gcd(r, *num)
+        p, den = p // g, self.den // g * (r // h)
+        if self.rat:
+            return Scalar(self.ring, (num[0] // h * p,) + self.ring._zeros, den, True)
+        return Scalar(self.ring, tuple(c // h * p for c in num), den, False)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return self.ring.zero
-            return Scalar(self.ring, {key: c * q for key, c in self.coeffs.items()})
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         self._check(other)
-        ring = self.ring
-        tpow = ring._tpow
-        k_rat = Fraction(ring.k)
-        out: dict[_Key, Fraction] = {}
-        for (e1, m1), c1 in self.coeffs.items():
-            for (e2, m2), c2 in other.coeffs.items():
-                c = c1 * c2
-                eps = e1 + e2
-                if eps == 2:
-                    eps = 0
-                    c = c * k_rat
-                for mb, cb in tpow[m1 + m2].items():
-                    key = (eps, mb)
-                    out[key] = out.get(key, Fraction(0)) + c * cb
-        return Scalar(ring, out)
+        if self.rat:
+            return other._scale(self.num[0], self.den)
+        if other.rat:
+            return self._scale(other.num[0], other.den)
+        table = self.ring._table
+        out = [0] * len(self.num)
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                row = table[i]
+                for j, b in right:
+                    ab = a * b
+                    for slot, c in row[j]:
+                        out[slot] += ab * c
+        return _reduced(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -241,43 +281,39 @@ class Scalar:
         k=3), so instead of inspecting self we search the 2k candidate monomials
         b = s^eps*t^m for one with self*b rational.
         """
-        if not self.coeffs:
+        if self.is_zero():
             raise NotAUnitError("zero is not invertible")
         ring = self.ring
         eps_range = (0,) if ring.sqrt_collapse is not None else (0, 1)
         for eps in eps_range:
             for m in range(ring.k):
-                b = Scalar(ring, {(eps, 0): Fraction(1)}) * ring.eta(m)
+                b = ring._slot(eps * ring.degree) * ring.eta(m)
                 prod = self * b
-                keys = list(prod.coeffs.keys())
-                if keys == [(0, 0)]:
-                    q = prod.coeffs[(0, 0)]
-                    return b * (Fraction(1) / q)
+                if prod.rat:
+                    return b * Fraction(prod.den, prod.num[0])
         raise NotAUnitError(f"not a monomial unit: {self.render()}")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.rat and not self.num[0]
 
     def is_rational(self) -> bool:
-        return set(self.coeffs) <= {(0, 0)}
+        return self.rat
 
     def as_rational(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        if not self.is_rational():
+        if not self.rat:
             raise ValueError(f"not rational: {self.render()}")
-        return self.coeffs[(0, 0)]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring.k == other.ring.k and self.coeffs == other.coeffs
+        return self.ring.k == other.ring.k and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring.k, tuple(sorted(self.coeffs.items()))))
+            self._hash = hash((self.ring.k, self.num, self.den))
         return self._hash
 
     # -- rendering / parsing ---------------------------------------------------
@@ -285,10 +321,14 @@ class Scalar:
     def render(self) -> str:
         """Canonical text form: '*'-joined monomials 'q', 'q*s', 'q*t^m', 'q*s*t^m',
         summed with ' + ' / ' - '.  Parsed back by parse_scalar."""
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         parts = []
-        for (eps, m), c in sorted(self.coeffs.items()):
+        for slot, n in enumerate(self.num):
+            if not n:
+                continue
+            eps, m = divmod(slot, self.ring.degree)
+            c = Fraction(n, self.den)
             atoms = []
             if eps:
                 atoms.append("s")

@@ -61,6 +61,27 @@ def test_check_bad_fraction_exits_two(capsys):
     assert rc == 2
 
 
+def test_coeffs_k_below_one_exits_two_with_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--k", "3", "0"])
+    assert exc.value.code == 2
+    assert "--k values must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "0"], "--k values must be >= 1, got 0"),
+    (["--cutoff", "abc"], "unreadable fraction argument 'abc'"),
+])
+def test_char_bad_input_exits_two_with_message(capsys, argv, message):
+    try:
+        rc = cli.main(["char", *argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_check_empty_configuration_exits_two(capsys):
     # conjugation sweeps odd k only; offering just k=2 leaves nothing to run
     rc = cli.main(["check", "conjugation", "--k", "2"])

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from permtwist.exactnum import (
@@ -32,9 +33,9 @@ def test_sqrt_relation(k):
     ring = get_ring(k)
     s = ring.sqrt_k()
     assert s * s == ring.rational(k)
+    assert (s * s).is_rational() and (s * s).as_rational() == k
     # collapse for perfect squares keeps the ring a field
-    if k in (1, 4):
-        assert s.is_rational()
+    assert s.is_rational() == (k in (1, 4))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -103,22 +104,26 @@ def test_sqrt_k_pow_negative():
     assert ring4.sqrt_k_pow(-3) == ring4.rational(Fraction(1, 8))
 
 
-def _elements(k):
-    ring = get_ring(k)
+def _recipes(k, max_size=3):
+    """Lists of ((eps, m), q), each standing for the sum of q * s^eps * t^m."""
     rats = st.fractions(min_value=-3, max_value=3, max_denominator=9)
-
-    def build(pairs):
-        out = ring.zero
-        for (eps, m), q in pairs:
-            mono = ring.rational(q)
-            if eps:
-                mono = mono * ring.sqrt_k()
-            mono = mono * ring.eta(m)
-            out = out + mono
-        return out
-
     keys = st.tuples(st.integers(0, 1), st.integers(0, k - 1))
-    return st.lists(st.tuples(keys, rats), max_size=3).map(build)
+    return st.lists(st.tuples(keys, rats), max_size=max_size)
+
+
+def _build(ring, pairs):
+    out = ring.zero
+    for (eps, m), q in pairs:
+        mono = ring.rational(q)
+        if eps:
+            mono = mono * ring.sqrt_k()
+        mono = mono * ring.eta(m)
+        out = out + mono
+    return out
+
+
+def _elements(k):
+    return _recipes(k).map(lambda pairs: _build(get_ring(k), pairs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,3 +161,89 @@ def test_scalar_hash_consistency():
     b = ring.one + ring.eta()
     assert a == b and hash(a) == hash(b)
     assert a == a * ring.one
+
+
+# -- an independent oracle: sympy's reduction modulo (Phi_k(t), s^2 - k) ------
+
+
+_T, _S = sympy.symbols("t s")
+
+
+def _sympy_of(pairs):
+    return sum((sympy.Rational(q.numerator, q.denominator) * _S**eps * _T**m
+                for (eps, m), q in pairs), sympy.Integer(0))
+
+
+def _sympy_normal_form(k, expr):
+    """{(eps, m): Fraction} of expr reduced by sympy.  For a perfect square
+    k = r^2 the ring sets s = r, so the relation is s - r there."""
+    root = sympy.sqrt(k)
+    rel = _S - root if root.is_Integer else _S**2 - k
+    _, rem = sympy.reduced(sympy.expand(expr), [sympy.cyclotomic_poly(k, _T), rel], _T, _S)
+    return {
+        (eps, m): Fraction(int(c.p), int(c.q))
+        for (m, eps), c in sympy.Poly(rem, _T, _S).as_dict().items() if c
+    }
+
+
+def _coefficients(x):
+    deg = x.ring.degree
+    return {divmod(slot, deg): Fraction(n, x.den) for slot, n in enumerate(x.num) if n}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), _recipes(k, 4), _recipes(k, 4))))
+def test_kernel_matches_sympy_reduction(case):
+    # k = 1, 4 are perfect squares (s collapses); k = 5, 8 have zero divisors
+    k, pa, pb = case
+    ring = get_ring(k)
+    a, b = _build(ring, pa), _build(ring, pb)
+    fa, fb = _sympy_of(pa), _sympy_of(pb)
+    assert _coefficients(a * b) == _sympy_normal_form(k, fa * fb)
+    assert _coefficients(a + b) == _sympy_normal_form(k, fa + fb)
+    assert _coefficients(a - b) == _sympy_normal_form(k, fa - fb)
+
+
+# -- canonical form and the rational fast path ---------------------------------
+
+
+def test_canonical_form_is_route_independent():
+    ring = get_ring(3)
+    one = ring.one
+    routes = [ring.rational(Fraction(2, 4)), ring.rational(1) * Fraction(1, 2),
+              (one + one) * Fraction(1, 4)]
+    for x in routes:
+        assert x == routes[0] and hash(x) == hash(routes[0])
+        assert x.render() == "1/2"
+        assert (x.num[0], x.den) == (1, 2)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_cancelling_eta_sum_is_zero_over_one(k):
+    ring = get_ring(k)
+    acc = ring.zero
+    for i in range(k):
+        acc = acc + ring.eta(i) * Fraction(2, 7)
+    assert acc == ring.zero and acc.is_zero() and acc.den == 1
+    assert hash(acc) == hash(ring.zero)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_rational_fast_path_matches_table_product(k):
+    # y * q through the fast path against y * (q + eta) - y * eta, whose two
+    # products have no rational operand and so go through the product table;
+    # y = x * 4 has even numerators, so the denominator of q = -3/4 cancels
+    ring = get_ring(k)
+    eta = ring.eta()
+    x = ring.eta(2) * Fraction(-7, 6) + ring.sqrt_k() * eta + ring.rational(Fraction(2, 3))
+    for y in (x, x * 4):
+
+        def via_table(q):
+            return y * (ring.rational(q) + eta) - y * eta
+
+        for q in (Fraction(-3, 4), Fraction(5, 1), Fraction(0)):
+            assert ring.rational(q) * y == via_table(q)
+            assert y * ring.rational(q) == via_table(q)
+        assert y * 3 == via_table(3)
+        assert y * Fraction(2, 9) == via_table(Fraction(2, 9))
+        assert 2 - y == (ring.rational(2) + eta) - (y + eta)

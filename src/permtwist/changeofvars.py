@@ -520,13 +520,15 @@ def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[
     ):
         win = Window.of(x=(-n_window - 1, trunc_order - 1))
         failure = None
+        # the image of x^(n-1) (even and odd), carried over from the step before
+        prev = {odd: rep_apply(ring, k, -n_window - 1, odd, trunc_order, forward) for odd in (False, True)}
         for n in range(-n_window, n_window + 1):
             for odd in (False, True):
                 img = rep_apply(ring, k, n, odd, trunc_order, forward)
                 d_img = img.derivative("x")
                 # T(d/dx basis) = n * T(basis with exponent n-1), by linearity
-                t_db = rep_apply(ring, k, n - 1, odd, trunc_order, forward) * Fr(n) if n != 0 \
-                    else FracSeries.zero(ring)
+                t_db = prev[odd] * Fr(n)
+                prev[odd] = img
                 if forward:
                     lhs = -t_db + d_img.shift_exponents("z", Fr(1, k) - 1) * Fr(1, k)
                     rhs = img.derivative("z")

@@ -2,8 +2,12 @@
 
 The series kernel underneath every identity check in this package:
 
-* exponents are exact `Fraction`s on a declared per-variable lattice
-  (denominator 2k, 2, 48k, ... depending on the computation);
+* every series is canonical: `vars` is sorted, each key of `terms` is a
+  tuple of `Fraction` exponents aligned with `vars` plus a phi-degree, and
+  no coefficient is zero.  `FracSeries(...)` normalises outside input into
+  that form; every internal result is built canonical and wrapped as is by
+  `FracSeries._of`.  Products add exponents as integer numerators over the
+  lcm of both operands' exponent denominators;
 * an optional Grassmann variable phi with phi^2 = 0 rides along as a
   0/1 degree on each term;
 * coefficients are `exactnum.Scalar` values (rationals extended by sqrt(k)
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .exactnum import Scalar, ScalarRing
 
@@ -38,11 +44,13 @@ class CompositionDomainError(ValueError):
     """Raised for ill-defined formal composition or substitution."""
 
 
+@lru_cache(maxsize=4096)
 def gbinom(r: Fraction, j: int) -> Fraction:
     """Generalized binomial coefficient C(r, j) = r(r-1)...(r-j+1)/j!."""
+    r = Fraction(r)
     out = Fraction(1)
     for i in range(j):
-        out = out * (Fraction(r) - i) / (i + 1)
+        out = out * (r - i) / (i + 1)
     return out
 
 
@@ -52,37 +60,28 @@ def gbinom(r: Fraction, j: int) -> Fraction:
 
 
 class FracSeries:
-    __slots__ = ("ring", "vars", "terms", "lattice", "meta")
+    __slots__ = ("ring", "vars", "terms", "meta")
 
-    def __init__(self, ring: ScalarRing, vars, terms=None, lattice=None, meta: str = ""):
+    def __init__(self, ring: ScalarRing, vars, terms=None, meta: str = ""):
+        """Normalise outside input: sort vars, make exponents `Fraction`s,
+        lift int/Fraction coefficients into the ring and drop zeros."""
         vars = tuple(vars)
         order = tuple(sorted(vars))
-        if order != vars:
-            # canonicalize variable order once, remapping exponent tuples
-            perm = [vars.index(v) for v in order]
-            terms = {
-                (tuple(key[0][i] for i in perm), key[1]): c
-                for key, c in (terms or {}).items()
-            }
-            vars = order
-        self.ring = ring
-        self.vars = vars
+        perm = [vars.index(v) for v in order]
         clean: dict[Key, Scalar] = {}
         for (exps, phi), c in (terms or {}).items():
             if isinstance(c, (int, Fraction)):
                 c = ring.rational(c)
-            if c.is_zero():
-                continue
-            clean[(tuple(Fraction(e) for e in exps), phi)] = c
-        self.terms = clean
-        if lattice is None:
-            lattice = {}
-        lat = {}
-        for i, v in enumerate(vars):
-            dens = [key[0][i].denominator for key in clean]
-            lat[v] = lcm(lattice.get(v, 1), *dens) if dens else lattice.get(v, 1)
-        self.lattice = lat
-        self.meta = meta
+            if not c.is_zero():
+                clean[(tuple(Fraction(exps[i]) for i in perm), phi)] = c
+        self.ring, self.vars, self.terms, self.meta = ring, order, clean, meta
+
+    @staticmethod
+    def _of(ring: ScalarRing, vars: tuple, terms: dict, meta: str = "") -> "FracSeries":
+        """Wrap terms that are already canonical (see the module docstring)."""
+        s = object.__new__(FracSeries)
+        s.ring, s.vars, s.terms, s.meta = ring, vars, terms, meta
+        return s
 
     # -- constructors ---------------------------------------------------------
 
@@ -130,7 +129,7 @@ class FracSeries:
             (tuple(exps[i] if i is not None else Fraction(0) for i in idx), phi): c
             for (exps, phi), c in self.terms.items()
         }
-        return FracSeries(self.ring, allvars, terms, self.lattice, self.meta)
+        return FracSeries._of(self.ring, allvars, terms, self.meta)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,13 +152,10 @@ class FracSeries:
                 out.pop(key, None)
             else:
                 out[key] = s
-        meta = self.meta or other.meta
-        return FracSeries(self.ring, allvars, out, None, meta)
+        return FracSeries._of(self.ring, allvars, out, self.meta or other.meta)
 
     def __neg__(self) -> "FracSeries":
-        return FracSeries(
-            self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.lattice, self.meta
-        )
+        return FracSeries._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.meta)
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
         return self + (-other)
@@ -168,32 +164,34 @@ class FracSeries:
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         allvars, a, b = self._aligned(other)
-        out: dict[Key, Scalar] = {}
-        for (e1, p1), c1 in a.items():
-            for (e2, p2), c2 in b.items():
-                phi = p1 + p2
-                if phi > 1:
+        # exponents add as integer numerators over one common denominator
+        den = lcm(*(e.denominator for terms in (a, b) for exps, _phi in terms for e in exps))
+
+        def ints(terms):
+            return [(tuple(e.numerator * (den // e.denominator) for e in exps), phi, c)
+                    for (exps, phi), c in terms.items()]
+
+        cols = ints(b)
+        acc: dict = {}
+        for e1, p1, c1 in ints(a):
+            for e2, p2, c2 in cols:
+                if p1 + p2 > 1:
                     continue  # phi^2 = 0
-                key = (tuple(x + y for x, y in zip(e1, e2)), phi)
-                c = c1 * c2
-                cur = out.get(key)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return FracSeries(self.ring, allvars, out, None, self.meta or other.meta)
+                key = (tuple(map(add, e1, e2)), p1 + p2)
+                cur = acc.get(key)
+                acc[key] = c1 * c2 if cur is None else cur + c1 * c2
+        out = {(tuple(Fraction(x, den) for x in e), phi): c
+               for (e, phi), c in acc.items() if not c.is_zero()}
+        return FracSeries._of(self.ring, allvars, out, self.meta or other.meta)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "FracSeries":
         if isinstance(c, (int, Fraction)):
             c = self.ring.rational(c)
-        if c.is_zero():
-            return FracSeries.zero(self.ring, self.vars)
-        return FracSeries(
-            self.ring, self.vars, {key: v * c for key, v in self.terms.items()}, self.lattice, self.meta
-        )
+        # a product of nonzero scalars can vanish: the ring has zero divisors at k = 5
+        terms = {key: p for key, v in self.terms.items() if not (p := v * c).is_zero()}
+        return FracSeries._of(self.ring, self.vars, terms, self.meta)
 
     # -- extraction -------------------------------------------------------------
 
@@ -213,11 +211,11 @@ class FracSeries:
             return self if e == 0 else FracSeries.zero(self.ring, self.vars)
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
-        out = {}
-        for (exps, phi), c in self.terms.items():
-            if exps[i] == e:
-                out[(exps[:i] + exps[i + 1 :], phi)] = c
-        return FracSeries(self.ring, rest, out, None, self.meta)
+        out = {
+            (exps[:i] + exps[i + 1 :], phi): c
+            for (exps, phi), c in self.terms.items() if exps[i] == e
+        }
+        return FracSeries._of(self.ring, rest, out, self.meta)
 
     def residue(self, var: str) -> "FracSeries":
         """Res_var: the coefficient series of var^(-1)."""
@@ -230,33 +228,18 @@ class FracSeries:
         return {exps[i] for (exps, _phi) in self.terms}
 
     def phi_part(self, phi: int) -> "FracSeries":
-        return FracSeries(
-            self.ring,
-            self.vars,
-            {key: c for key, c in self.terms.items() if key[1] == phi},
-            self.lattice,
-            self.meta,
-        )
+        terms = {key: c for key, c in self.terms.items() if key[1] == phi}
+        return FracSeries._of(self.ring, self.vars, terms, self.meta)
 
     def strip_phi(self) -> "FracSeries":
         """Divide the phi-linear part by phi (phi-degree 1 terms become degree 0)."""
-        return FracSeries(
-            self.ring,
-            self.vars,
-            {(exps, 0): c for (exps, phi), c in self.terms.items() if phi == 1},
-            self.lattice,
-            self.meta,
-        )
+        terms = {(exps, 0): c for (exps, phi), c in self.terms.items() if phi == 1}
+        return FracSeries._of(self.ring, self.vars, terms, self.meta)
 
     def times_phi(self) -> "FracSeries":
         """Multiply by phi on the left (kills existing phi-degree-1 terms)."""
-        return FracSeries(
-            self.ring,
-            self.vars,
-            {(exps, 1): c for (exps, phi), c in self.terms.items() if phi == 0},
-            self.lattice,
-            self.meta,
-        )
+        terms = {(exps, 1): c for (exps, phi), c in self.terms.items() if phi == 0}
+        return FracSeries._of(self.ring, self.vars, terms, self.meta)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -264,19 +247,12 @@ class FracSeries:
         if var not in self.vars:
             return FracSeries.zero(self.ring, self.vars)
         i = self.vars.index(var)
-        out = {}
-        for (exps, phi), c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = (exps[:i] + (e - 1,) + exps[i + 1 :], phi)
-            cur = out.get(key)
-            s = c * e if cur is None else cur + c * e
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return FracSeries(self.ring, self.vars, out, None, self.meta)
+        # e -> e - 1 is injective and c * e != 0 for a nonzero rational e
+        out = {
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], phi): c * exps[i]
+            for (exps, phi), c in self.terms.items() if exps[i] != 0
+        }
+        return FracSeries._of(self.ring, self.vars, out, self.meta)
 
     # -- substitutions -------------------------------------------------------------
 
@@ -288,6 +264,8 @@ class FracSeries:
         never passed through a root choice.
         """
         factor = Fraction(factor)
+        if factor == 0:
+            raise CompositionDomainError(f"scale_exponents: {var} -> {var}^0 merges every power")
         if var not in self.vars:
             return self
         i = self.vars.index(var)
@@ -295,7 +273,7 @@ class FracSeries:
             (exps[:i] + (exps[i] * factor,) + exps[i + 1 :], phi): c
             for (exps, phi), c in self.terms.items()
         }
-        return FracSeries(self.ring, self.vars, terms, None, self.meta)
+        return FracSeries._of(self.ring, self.vars, terms, self.meta)
 
     def shift_exponents(self, var: str, delta) -> "FracSeries":
         """Multiply by var^delta."""
@@ -306,12 +284,13 @@ class FracSeries:
             (exps[:i] + (exps[i] + delta,) + exps[i + 1 :], phi): c
             for (exps, phi), c in s.terms.items()
         }
-        return FracSeries(s.ring, s.vars, terms, None, s.meta)
+        return FracSeries._of(s.ring, s.vars, terms, s.meta)
 
     def eta_twist(self, var: str, j: int) -> "FracSeries":
         """The substitution var^(1/k) -> eta^j var^(1/k) for the ring's k.
 
-        A term var^m (with k*m integral) picks up the factor eta^(j*k*m).
+        A term var^m (with k*m integral) picks up the factor eta^(j*k*m), a
+        unit, so no coefficient becomes zero.
         """
         k = self.ring.k
         if var not in self.vars or j % k == 0:
@@ -324,9 +303,8 @@ class FracSeries:
                 raise CompositionDomainError(
                     f"exponent {exps[i]} of {var} is off the (1/{k})Z lattice"
                 )
-            key = (exps, phi)
-            out[key] = c * self.ring.eta(j * int(km))
-        return FracSeries(self.ring, self.vars, out, None, self.meta)
+            out[(exps, phi)] = c * self.ring.eta(j * int(km))
+        return FracSeries._of(self.ring, self.vars, out, self.meta)
 
     def truncate(self, var: str, max_exp, min_exp=None) -> "FracSeries":
         """Drop terms with var-exponent above max_exp (or below min_exp)."""
@@ -334,15 +312,13 @@ class FracSeries:
             return self
         i = self.vars.index(var)
         max_exp = Fraction(max_exp)
-        out = {}
-        for (exps, phi), c in self.terms.items():
-            if exps[i] > max_exp:
-                continue
-            if min_exp is not None and exps[i] < Fraction(min_exp):
-                continue
-            out[(exps, phi)] = c
+        lo = None if min_exp is None else Fraction(min_exp)
+        out = {
+            key: c for key, c in self.terms.items()
+            if key[0][i] <= max_exp and (lo is None or key[0][i] >= lo)
+        }
         meta = f"{self.meta};trunc {var}<= {max_exp}" if self.meta else f"trunc {var}<={max_exp}"
-        return FracSeries(self.ring, self.vars, out, self.lattice, meta)
+        return FracSeries._of(self.ring, self.vars, out, meta)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
         """Substitute a whole series for var.  Only integer powers of var are
@@ -352,41 +328,36 @@ class FracSeries:
 
         The result is truncated at trunc_order in trunc_var after every
         partial product, which is sound when repl has strictly positive
-        trunc_var-order (asserted for the inverse path).
+        trunc_var-order (asserted for the inverse path).  Each power is the
+        nearest power already built times repl (or its inverse), truncated.
         """
         if var not in self.vars:
             return self
         i = self.vars.index(var)
-        powers: dict[int, FracSeries] = {}
-        out = FracSeries.zero(self.ring, ())
-        groups: dict[int, FracSeries] = {}
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        # var^e groups: dropping the var-exponent is injective within a group
+        groups: dict[int, dict] = {}
         for (exps, phi), c in self.terms.items():
             e = exps[i]
             if e.denominator != 1:
                 raise CompositionDomainError(
                     f"substitute: fractional power {e} of {var} unsupported"
                 )
-            rest_key = (exps[:i] + exps[i + 1 :], phi)
-            g = groups.setdefault(int(e), FracSeries.zero(self.ring, self.vars[:i] + self.vars[i + 1 :]))
-            g.terms[rest_key] = g.terms.get(rest_key, self.ring.zero) + c
-        inv = None
-        for e, gser in sorted(groups.items()):
-            gser = FracSeries(self.ring, gser.vars, gser.terms)  # renormalize
-            if e == 0:
-                out = out + gser
-                continue
-            if e > 0:
-                base, n = repl, e
-            else:
-                if inv is None:
-                    inv = invert_series(repl, trunc_var, trunc_order)
-                base, n = inv, -e
+            groups.setdefault(int(e), {})[(exps[:i] + exps[i + 1 :], phi)] = c
+        powers = {0: FracSeries.one(self.ring)}
+        base = {1: repl}
+        out = FracSeries.zero(self.ring, ())
+        for e, terms in sorted(groups.items()):
             if e not in powers:
-                p = FracSeries.one(self.ring)
-                for _ in range(n):
-                    p = (p * base).truncate(trunc_var, trunc_order)
-                powers[e] = p
-            out = out + gser * powers[e]
+                step = 1 if e > 0 else -1
+                if step not in base:
+                    base[step] = invert_series(repl, trunc_var, trunc_order)
+                near = e - step
+                while near not in powers:
+                    near -= step
+                for m in range(near + step, e + step, step):
+                    powers[m] = (powers[m - step] * base[step]).truncate(trunc_var, trunc_order)
+            out = out + FracSeries._of(self.ring, rest, terms) * powers[e]
         return out.truncate(trunc_var, trunc_order)
 
     # -- rendering ----------------------------------------------------------------
@@ -570,7 +541,7 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
             )
             terms[(key, 0)] = terms.get((key, 0), ring.zero) + c
         tpow = tpow * tc
-    return FracSeries(ring, vars_, terms, None, meta=f"binom order<={order}")
+    return FracSeries(ring, vars_, terms, meta=f"binom order<={order}")
 
 
 def delta_truncated(

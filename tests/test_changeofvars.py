@@ -354,6 +354,24 @@ def test_rep_transport_negative_control():
     assert rep.status == "fail"
 
 
+def test_rep_identity_check_fails_on_a_perturbed_odd_image(monkeypatch):
+    # one coefficient of the forward odd image of phi x^1 is off by one
+    import permtwist.changeofvars as cv
+
+    def perturbed(ring, k, n, odd, trunc_order, forward=True):
+        img = rep_apply(ring, k, n, odd, trunc_order, forward)
+        if forward and odd and n == 1:
+            key = min(img.terms)  # lowest x-exponent, inside the window
+            img = img + FracSeries(ring, img.vars, {key: 1})
+        return img
+
+    monkeypatch.setattr(cv, "rep_apply", perturbed)
+    fwd, inv = rep_identity_check(3, n_window=2, trunc_order=6)
+    assert fwd.status == "fail"
+    assert fwd.first_mismatch.startswith("[phi x^1] at ")
+    assert inv.status == "pass"
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_superfield_exponential_route(k):
     for rep in superfield_exp_check(k):

@@ -1,6 +1,8 @@
 """Series kernel tests: arithmetic, binomials, substitutions, delta identities."""
 
+import math
 from fractions import Fraction as Fr
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,12 +34,20 @@ def mono(ring, coeff, exps, phi=0):
 
 
 def test_gbinom_matches_integer_binomial():
-    import math
-
     for n in range(8):
         for j in range(10):
             want = math.comb(n, j) if j <= n else 0
             assert gbinom(Fr(n), j) == want
+
+
+def test_gbinom_cache_is_bounded_and_exact():
+    assert gbinom.cache_info().maxsize is not None
+    for n in range(10):
+        for j in range(12):
+            first = gbinom(n, j)
+            hits = gbinom.cache_info().hits
+            assert gbinom(n, j) == first == math.comb(n, j)  # math.comb is 0 for j > n
+            assert gbinom.cache_info().hits == hits + 1
 
 
 def test_gbinom_half():
@@ -103,6 +113,9 @@ def test_scale_exponents_principal_branch():
     assert s.scale_exponents("x", Fr(1, 3)) == mono(R1, 1, {"x": Fr(2, 3)})
     # (x^k)^(1/k) = x: scaling by k then 1/k is the identity
     assert s.scale_exponents("x", 3).scale_exponents("x", Fr(1, 3)) == s
+    # x -> x^0 would merge every power into one key
+    with pytest.raises(CompositionDomainError):
+        s.scale_exponents("x", 0)
 
 
 def test_eta_twist():
@@ -146,6 +159,27 @@ def test_substitute_polynomial():
     assert out.coefficient({"x": 3}) == R1.rational(2 + 1)
 
 
+def test_substitute_chains_powers_like_the_per_power_loop():
+    ring = get_ring(3)
+    s = FracSeries.zero(ring)
+    for e in range(-3, 4):
+        s = s + mono(ring, e + 5, {"y": e, "z": Fr(e, 3)})
+    s = s + mono(ring, ring.eta(1), {"y": 2}, phi=1)
+    repl = mono(ring, 1, {"x": 1}) + mono(ring, 2, {"x": 2}) + mono(ring, ring.eta(2), {"x": 3})
+    order = 6
+    got = s.substitute("y", repl, "x", order)
+    # every power built from one by |e| truncated products, as written out
+    inv = invert_series(repl, "x", order)
+    want = FracSeries.zero(ring)
+    for e in range(-3, 4):
+        p = FracSeries.one(ring)
+        for _ in range(abs(e)):
+            p = (p * (repl if e > 0 else inv)).truncate("x", order)
+        want = want + s.coefficient_in("y", e) * p
+    assert not got.is_zero()
+    assert got == want.truncate("x", order)
+
+
 def test_substitute_rejects_fractional_powers():
     s = mono(R1, 1, {"y": Fr(1, 2)})
     with pytest.raises(CompositionDomainError):
@@ -187,6 +221,108 @@ def test_mul_supercommutative(terms_a, terms_b):
     # graded commutativity: only the phi-odd*phi-odd component flips sign,
     # and that component is identically zero because phi^2 = 0
     assert ab == ba
+
+
+# -- canonical form against plain dict arithmetic --------------------------------
+
+XY = ("x", "y")
+_EXPONENT = st.builds(Fr, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+# q * s^eps * eta^m pieces; sums of them reach the zero divisors of k = 5
+_PIECES = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(0, 1), st.integers(0, 4)),
+    min_size=1,
+    max_size=2,
+)
+# ((x, y) exponents, phi-degree, coefficient pieces) per term, plus a layout:
+# 0 declares vars (x, y), 1 declares them as (y, x), 2 declares x alone
+_RAW = st.tuples(st.lists(st.tuples(st.tuples(_EXPONENT, _EXPONENT), st.integers(0, 1), _PIECES), max_size=5),
+                 st.integers(0, 2))
+
+
+def _scalar(ring, pieces):
+    out = ring.zero
+    for q, eps, m in pieces:
+        out = out + ring.rational(q) * (ring.sqrt_k() if eps else ring.one) * ring.eta(m)
+    return out
+
+
+def _plain_and_series(ring, raw):
+    """A plain {((ex, ey), phi): Scalar} dict and the FracSeries built from it."""
+    terms, layout = raw
+    plain = {}
+    for (ex, ey), phi, pieces in terms:
+        key = ((ex, Fr(0) if layout == 2 else ey), phi)
+        plain[key] = plain.get(key, ring.zero) + _scalar(ring, pieces)
+    if layout == 0:
+        return plain, FracSeries(ring, XY, plain)
+    if layout == 1:
+        return plain, FracSeries(ring, ("y", "x"), {((ey, ex), phi): c for ((ex, ey), phi), c in plain.items()})
+    return plain, FracSeries(ring, ("x",), {((ex,), phi): c for ((ex, _ey), phi), c in plain.items()})
+
+
+def _plain_sum(ring, a, b, sign=1):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, ring.zero) + (c if sign > 0 else -c)
+    return out
+
+
+def _plain_product(ring, a, b):
+    out = {}
+    for (e1, p1), c1 in a.items():
+        for (e2, p2), c2 in b.items():
+            if p1 + p2 < 2:
+                key = (tuple(map(add, e1, e2)), p1 + p2)
+                out[key] = out.get(key, ring.zero) + c1 * c2
+    return out
+
+
+def _on_x(plain, f):
+    """Apply f to the x-exponent of every key; f returns None to drop a term."""
+    out = {}
+    for ((ex, ey), phi), c in plain.items():
+        hit = f(ex, c)
+        if hit is not None:
+            out[((hit[0], ey), phi)] = hit[1]
+    return out
+
+
+def _assert_canonical(s):
+    assert s.vars == tuple(sorted(s.vars))
+    for (exps, phi), c in s.terms.items():
+        assert len(exps) == len(s.vars) and all(type(e) is Fr for e in exps)
+        assert phi in (0, 1)
+        assert not c.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 3, 5)), _RAW, _RAW)
+def test_results_are_canonical_and_match_plain_dict_arithmetic(k, raw_a, raw_b):
+    ring = get_ring(k)
+    pa, a = _plain_and_series(ring, raw_a)
+    pb, b = _plain_and_series(ring, raw_b)
+    cases = [
+        (a * b, _plain_product(ring, pa, pb)),
+        (a + b, _plain_sum(ring, pa, pb)),
+        (a - b, _plain_sum(ring, pa, pb, sign=-1)),
+        (a.derivative("x"), _on_x(pa, lambda e, c: (e - 1, c * e) if e != 0 else None)),
+        (a.truncate("x", Fr(1, 2), Fr(-2, 3)), _on_x(pa, lambda e, c: (e, c) if Fr(-2, 3) <= e <= Fr(1, 2) else None)),
+        (a.shift_exponents("x", Fr(-5, 6)), _on_x(pa, lambda e, c: (e - Fr(5, 6), c))),
+        (a.scale_exponents("x", Fr(-3, 2)), _on_x(pa, lambda e, c: (e * Fr(-3, 2), c))),
+    ]
+    for got, plain in cases:
+        _assert_canonical(got)
+        assert got == FracSeries(ring, XY, plain)
+
+
+def test_zero_divisor_products_are_dropped():
+    # at k = 5, g = eta + eta^4 - eta^2 - eta^3 squares to 5, so (s - g)(s + g) = 0
+    ring = get_ring(5)
+    g = ring.eta(1) + ring.eta(4) - ring.eta(2) - ring.eta(3)
+    a = mono(ring, ring.sqrt_k() - g, {"x": Fr(1, 5)})
+    b = mono(ring, ring.sqrt_k() + g, {"x": 1}) + mono(ring, 1, {"x": 2})
+    assert (a * b).terms == {((Fr(11, 5),), 0): ring.sqrt_k() - g}
+    assert a.scale(ring.sqrt_k() + g).is_zero()
 
 
 # -- the four delta identities ------------------------------------------------

@@ -23,7 +23,7 @@ psi, omega = psi_vec(ring), omega_vec(ring)
 
 print("== dressing of the generator and the conformal vector (k = 3) ==")
 for name, u in (("psi", psi), ("omega", omega)):
-    for (e,), vec in sorted(delta_apply(u).terms.items()):
+    for e, vec in sorted(delta_apply(u).by_exponent()):
         print(f"  D(x) {name}: x^({e}) * {vec.render()}")
 
 print("\n== twisted generator modes are scaled plain modes ==")

@@ -148,13 +148,6 @@ class ScalarRing:
             out = out * self.sqrt_k()
         return out
 
-    def eta_average(self, p: int) -> Scalar:
-        """(1/k) sum_i t^(i*p): the projector weight, 1 if k | p else 0."""
-        acc = self.zero
-        for i in range(self.k):
-            acc = acc + self.eta(i * p)
-        return acc * Fraction(1, self.k)
-
     def __repr__(self):
         return f"ScalarRing(k={self.k})"
 

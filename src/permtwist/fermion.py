@@ -14,9 +14,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Fr
 from functools import lru_cache
+from operator import add
 
 from .exactnum import Scalar, ScalarRing, get_ring
-from .fseries import CheckReport, FracSeries, Window, delta_truncated, gbinom
+from .fseries import (
+    CheckReport,
+    FracSeries,
+    Window,
+    compare_on_window,
+    delta_truncated,
+    gbinom,
+    integer_exponents,
+)
 
 State = tuple  # strictly increasing negative ints
 TKey = tuple  # tuple of States
@@ -162,6 +171,8 @@ class Vec:
     def scale(self, c) -> "Vec":
         c = c if isinstance(c, Scalar) else self.ring.rational(Fr(c))
         return Vec(self.ring, {key: v * c for key, v in self.terms.items()})
+
+    __mul__ = scale
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -375,73 +386,13 @@ def virasoro_mode(n: int, target: Vec) -> Vec:
 # ---------------------------------------------------------------------------
 
 
-class VecSeries:
-    """Sparse formal series whose coefficients are Vecs.
+class VecSeries(FracSeries):
+    """A series whose coefficients are Vecs.  Every term has phi-degree 0:
+    parity lives in the vectors.  All series arithmetic is FracSeries'."""
 
-    terms: exponent tuple (aligned with vars, all Fractions) -> Vec.  Unlike
-    FracSeries there is no phi slot; parity lives in the vectors.
-    """
+    __slots__ = ()
 
-    __slots__ = ("ring", "vars", "terms")
-
-    def __init__(self, ring: ScalarRing, vars, terms=None):
-        self.ring = ring
-        self.vars = tuple(vars)
-        self.terms = {}
-        for exps, vec in (terms or {}).items():
-            if not vec.is_zero():
-                self.terms[tuple(Fr(e) for e in exps)] = vec
-
-    def add_term(self, exps, vec: Vec, factor=None) -> None:
-        exps = tuple(Fr(e) for e in exps)
-        if factor is not None:
-            vec = vec.scale(factor)
-        if vec.is_zero():
-            return
-        cur = self.terms.get(exps)
-        new = vec if cur is None else cur + vec
-        if new.is_zero():
-            self.terms.pop(exps, None)
-        else:
-            self.terms[exps] = new
-
-    def _aligned(self, other: "VecSeries"):
-        if self.ring.k != other.ring.k:
-            raise ValueError("mixed scalar rings")
-        allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(s: "VecSeries"):
-            pos = {v: s.vars.index(v) for v in s.vars}
-            out = {}
-            for exps, vec in s.terms.items():
-                key = tuple(exps[pos[v]] if v in pos else Fr(0) for v in allvars)
-                out[key] = vec
-            return out
-
-        return allvars, remap(self), remap(other)
-
-    def _merge(self, other: "VecSeries", sub: bool) -> "VecSeries":
-        allvars, ta, tb = self._aligned(other)
-        out = VecSeries(self.ring, allvars, ta)
-        for exps, vec in tb.items():
-            cur = out.terms.get(exps)
-            new = (-vec if sub else vec) if cur is None else (cur - vec if sub else cur + vec)
-            if new.is_zero():
-                out.terms.pop(exps, None)
-            else:
-                out.terms[exps] = new
-        return out
-
-    def __add__(self, other: "VecSeries") -> "VecSeries":
-        return self._merge(other, False)
-
-    def __sub__(self, other: "VecSeries") -> "VecSeries":
-        return self._merge(other, True)
-
-    def scale(self, c) -> "VecSeries":
-        return VecSeries(
-            self.ring, self.vars, {e: vec.scale(c) for e, vec in self.terms.items()}
-        )
+    zero_coefficient = Vec
 
     def mul_series(self, s: FracSeries, box: Window | None = None) -> "VecSeries":
         """Multiply by a scalar series (no phi part): the convolution of supports.
@@ -452,96 +403,31 @@ class VecSeries:
         lands on it.  It is the true coefficient of the full product when both
         operands hold every term that can reach it.
         """
-        allvars = tuple(sorted(set(self.vars) | set(s.vars)))
         if any(phi for _exps, phi in s.terms):
             raise ValueError("vector series carry no odd coordinate")
-
-        def aligned(vars, exps) -> tuple:
-            return tuple(Fr(exps[vars.index(v)]) if v in vars else Fr(0) for v in allvars)
-
-        rows = [(aligned(self.vars, e), vec) for e, vec in self.terms.items()]
-        cols = [(aligned(s.vars, e), c) for (e, _phi), c in s.terms.items()]
+        allvars, a, b = self._aligned(s)
         # the box test runs on integer numerators over one common denominator
-        den = math.lcm(*(x.denominator for row, _ in rows + cols for x in row))
+        den, (rows, cols) = integer_exponents(a, b)
         bounds = box.as_dict() if box is not None else {}
         limits = [(i, math.ceil(bounds[v][0] * den), math.floor(bounds[v][1] * den))
                   for i, v in enumerate(allvars) if v in bounds]
-        rows = [(row, tuple(int(x * den) for x in row), vec) for row, vec in rows]
-        out = VecSeries(self.ring, allvars)
-        for srow, c in cols:
-            sint = tuple(int(x * den) for x in srow)
-            for vrow, vint, vec in rows:
+        acc: dict = {}
+        for sint, _phi, c in cols:
+            for vint, _phi, vec in rows:
                 if any(not lo <= vint[i] + sint[i] <= hi for i, lo, hi in limits):
                     continue
-                key = tuple(a + b for a, b in zip(vrow, srow))
-                acc = out.terms.get(key)
-                if acc is None:
-                    acc = out.terms[key] = Vec(self.ring)
-                acc.accumulate(vec.terms.items(), c)
-        out.terms = {e: vec for e, vec in out.terms.items() if not vec.is_zero()}
-        return out
-
-    def coefficient(self, assignment: dict) -> Vec:
-        target = tuple(Fr(assignment.get(v, 0)) for v in self.vars)
-        return self.terms.get(target, Vec(self.ring))
+                key = tuple(map(add, vint, sint))
+                cur = acc.get(key)
+                if cur is None:
+                    cur = acc[key] = Vec(self.ring)
+                cur.accumulate(vec.terms.items(), c)
+        terms = {(tuple(Fr(x, den) for x in e), 0): vec
+                 for e, vec in acc.items() if not vec.is_zero()}
+        return self._of(self.ring, allvars, terms)
 
     def truncate_window(self, window: Window) -> "VecSeries":
-        return VecSeries(
-            self.ring,
-            self.vars,
-            {e: vec for e, vec in self.terms.items() if window.contains(self.vars, e)},
-        )
-
-    def shift_exponents(self, var: str, delta) -> "VecSeries":
-        i = self.vars.index(var)
-        d = Fr(delta)
-        return VecSeries(
-            self.ring,
-            self.vars,
-            {e[:i] + (e[i] + d,) + e[i + 1 :]: vec for e, vec in self.terms.items()},
-        )
-
-    def scale_exponents(self, var: str, factor) -> "VecSeries":
-        i = self.vars.index(var)
-        f = Fr(factor)
-        return VecSeries(
-            self.ring,
-            self.vars,
-            {e[:i] + (e[i] * f,) + e[i + 1 :]: vec for e, vec in self.terms.items()},
-        )
-
-    def phase_by_exponent(self, var: str, phase) -> "VecSeries":
-        """Multiply each term by phase(exponent of var), a Scalar-valued map."""
-        i = self.vars.index(var)
-        out = VecSeries(self.ring, self.vars)
-        for e, vec in self.terms.items():
-            out.add_term(e, vec.scale(phase(e[i])))
-        return out
-
-    def derivative(self, var: str) -> "VecSeries":
-        i = self.vars.index(var)
-        out = VecSeries(self.ring, self.vars)
-        for e, vec in self.terms.items():
-            if e[i] != 0:
-                out.add_term(e[:i] + (e[i] - 1,) + e[i + 1 :], vec.scale(e[i]))
-        return out
-
-    def support(self) -> set:
-        return set(self.terms)
-
-    def exponents_of(self, var: str) -> set:
-        i = self.vars.index(var)
-        return {e[i] for e in self.terms}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def render(self) -> str:
-        bits = []
-        for e in sorted(self.terms):
-            mono = "*".join(f"{v}^{x}" for v, x in zip(self.vars, e) if x != 0) or "1"
-            bits.append(f"[{mono}] ({self.terms[e].render()})")
-        return " + ".join(bits) if bits else "0"
+        terms = {key: vec for key, vec in self.terms.items() if window.contains(self.vars, key[0])}
+        return self._of(self.ring, self.vars, terms)
 
 
 def vec_equal_on_window(
@@ -554,33 +440,17 @@ def vec_equal_on_window(
     detail=None,
 ) -> CheckReport:
     """Coefficient-vector comparison inside the window; first mismatch wins."""
-    allvars, ta, tb = a._aligned(b)
-    keys = {e for e in ta if window.contains(allvars, e)}
-    keys |= {e for e in tb if window.contains(allvars, e)}
-    zero = Vec(a.ring)
-    for e in sorted(keys):
-        va = ta.get(e, zero)
-        vb = tb.get(e, zero)
-        if va != vb:
-            mono = "*".join(f"{v}^{x}" for v, x in zip(allvars, e) if x != 0) or "1"
-            diffs = [
-                key
-                for key in set(va.terms) | set(vb.terms)
-                if va.terms.get(key, a.ring.zero) != vb.terms.get(key, a.ring.zero)
-            ]
-            bad = sorted(diffs)[0]
-            ca = va.terms.get(bad, a.ring.zero).render()
-            cb = vb.terms.get(bad, a.ring.zero).render()
-            return CheckReport(
-                identity,
-                tuple(anchors),
-                window.render(),
-                "fail",
-                first_mismatch=f"at {mono}, {render_key(bad)}: {ca} != {cb}",
-                detail=detail,
-                k=k,
-            )
-    return CheckReport(identity, tuple(anchors), window.render(), "pass", detail=detail, k=k)
+    return compare_on_window(a, b, window, identity, anchors, k, detail, _vec_mismatch)
+
+
+def _vec_mismatch(mono: str, va: Vec, vb: Vec) -> str:
+    """The first differing basis key of two coefficient vectors, rendered."""
+    zero = va.ring.zero
+    bad = min(key for key in va.terms.keys() | vb.terms.keys()
+              if va.terms.get(key, zero) != vb.terms.get(key, zero))
+    ca = va.terms.get(bad, zero).render()
+    cb = vb.terms.get(bad, zero).render()
+    return f"at {mono}, {render_key(bad)}: {ca} != {cb}"
 
 
 def vertex_op(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
@@ -654,20 +524,14 @@ def two_sided(field, u, v, w: Vec, win1, win2, vars) -> VecSeries:
     window, such as vertex_op; u and v are whatever it takes as its state.
     """
     v1, v2 = vars
-    out = VecSeries(w.ring, vars)
-    if win1[0] > win1[1] or win2[0] > win2[1]:
-        return out
-    inner = field(v, w, Window.of(**{v2: win2}), v2)
-    for (f2,), vec in inner.terms.items():
-        outer = field(u, vec, Window.of(**{v1: win1}), v1)
-        for (f1,), res in outer.terms.items():
-            out.add_term((f1, f2), res)
-    return out
-
-
-def two_point(u: Vec, v: Vec, w: Vec, e1_range, e2_range, vars=("x1", "x2")) -> VecSeries:
-    """Y(u,x1)Y(v,x2)w on an exponent rectangle (each entry exact)."""
-    return two_sided(vertex_op, u, v, w, e1_range, e2_range, vars)
+    terms = {}
+    if win1[0] <= win1[1] and win2[0] <= win2[1]:
+        inner = field(v, w, Window.of(**{v2: win2}), v2)
+        for f2, vec in inner.by_exponent():
+            outer = field(u, vec, Window.of(**{v1: win1}), v1)
+            for f1, res in outer.by_exponent():
+                terms[((f1, f2), 0)] = res
+    return VecSeries(w.ring, vars, terms)
 
 
 def iterate_modesum(field, u: Vec, v: Vec, w: Vec, x0_range, x2_range) -> VecSeries:
@@ -686,7 +550,7 @@ def iterate_modesum(field, u: Vec, v: Vec, w: Vec, x0_range, x2_range) -> VecSer
         uv = vertex_mode(u, -e0 - 1, v)
         if uv.is_zero():
             continue
-        for (f2,), vec in field(uv, w, win2, "x2").terms.items():
+        for f2, vec in field(uv, w, win2, "x2").by_exponent():
             out.add_term((Fr(e0), f2), vec)
     return out
 

@@ -10,8 +10,10 @@ The series kernel underneath every identity check in this package:
   lcm of both operands' exponent denominators;
 * an optional Grassmann variable phi with phi^2 = 0 rides along as a
   0/1 degree on each term;
-* coefficients are `exactnum.Scalar` values (rationals extended by sqrt(k)
-  and a k-th root of unity);
+* a coefficient is an `exactnum.Scalar` (rationals extended by sqrt(k) and
+  a k-th root of unity) or a module vector (`fermion.Vec`, held by the
+  subclass `fermion.VecSeries`, whose terms have phi-degree 0): anything with
+  `+`, `-`, unary `-`, `is_zero()`, multiplication by a scalar and `render()`;
 * infinite objects (delta functions, binomial tails, exp/log/inverse series)
   are truncated once at construction with the truncation recorded in `meta`;
   all subsequent arithmetic is exact on the finite objects, and every
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, attrgetter
 
 from .exactnum import Scalar, ScalarRing
 
@@ -42,6 +44,22 @@ Key = tuple[tuple[Fraction, ...], int]
 
 class CompositionDomainError(ValueError):
     """Raised for ill-defined formal composition or substitution."""
+
+
+def monomial_text(vars: tuple, exps: tuple, phi: int) -> str:
+    """prod v^e (zero exponents left out) and phi, '*'-joined, or '1'."""
+    mono = [f"{v}^{e}" for v, e in zip(vars, exps) if e != 0]
+    if phi:
+        mono.append("phi")
+    return "*".join(mono) or "1"
+
+
+def integer_exponents(*term_dicts):
+    """One common denominator of every exponent in the term dicts, and each
+    dict's terms as (exponent numerators over it, phi, coefficient) rows."""
+    den = lcm(*(e.denominator for terms in term_dicts for exps, _phi in terms for e in exps))
+    return den, [[(tuple(e.numerator * (den // e.denominator) for e in exps), phi, c)
+                  for (exps, phi), c in terms.items()] for terms in term_dicts]
 
 
 @lru_cache(maxsize=4096)
@@ -62,6 +80,9 @@ def gbinom(r: Fraction, j: int) -> Fraction:
 class FracSeries:
     __slots__ = ("ring", "vars", "terms", "meta")
 
+    # ring -> the zero coefficient, for keys a series does not hold
+    zero_coefficient = attrgetter("zero")
+
     def __init__(self, ring: ScalarRing, vars, terms=None, meta: str = ""):
         """Normalise outside input: sort vars, make exponents `Fraction`s,
         lift int/Fraction coefficients into the ring and drop zeros."""
@@ -76,10 +97,11 @@ class FracSeries:
                 clean[(tuple(Fraction(exps[i]) for i in perm), phi)] = c
         self.ring, self.vars, self.terms, self.meta = ring, order, clean, meta
 
-    @staticmethod
-    def _of(ring: ScalarRing, vars: tuple, terms: dict, meta: str = "") -> "FracSeries":
-        """Wrap terms that are already canonical (see the module docstring)."""
-        s = object.__new__(FracSeries)
+    @classmethod
+    def _of(cls, ring: ScalarRing, vars: tuple, terms: dict, meta: str = "") -> "FracSeries":
+        """Wrap terms that are already canonical (see the module docstring).
+        Called on a series, it keeps that series' class."""
+        s = object.__new__(cls)
         s.ring, s.vars, s.terms, s.meta = ring, vars, terms, meta
         return s
 
@@ -104,32 +126,46 @@ class FracSeries:
     # -- bookkeeping ------------------------------------------------------------
 
     def _aligned(self, other: "FracSeries"):
+        """(union of vars, self's terms, other's terms) over the union; only
+        an operand that lacks some of those vars is remapped."""
         if self.ring.k != other.ring.k:
             raise ValueError("series over different scalar rings")
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
+        return allvars, self._terms_over(allvars), other._terms_over(allvars)
 
-        def remap(series):
-            idx = [series.vars.index(v) if v in series.vars else None for v in allvars]
-            out = {}
-            for (exps, phi), c in series.terms.items():
-                out[(tuple(exps[i] if i is not None else Fraction(0) for i in idx), phi)] = c
-            return out
-
-        return allvars, remap(self), remap(other)
+    def _terms_over(self, allvars: tuple) -> dict:
+        """The terms with exponents aligned to allvars, a sorted superset of vars."""
+        if allvars == self.vars:
+            return self.terms
+        idx = [self.vars.index(v) if v in self.vars else None for v in allvars]
+        zero = Fraction(0)
+        return {
+            (tuple(exps[i] if i is not None else zero for i in idx), phi): c
+            for (exps, phi), c in self.terms.items()
+        }
 
     def with_vars(self, vars) -> "FracSeries":
         """Same series viewed with extra (unused) variables declared."""
         allvars = tuple(sorted(set(self.vars) | set(vars)))
         if allvars == self.vars:
             return self
-        idx = [self.vars.index(v) if v in self.vars else None for v in allvars]
-        terms = {
-            (tuple(exps[i] if i is not None else Fraction(0) for i in idx), phi): c
-            for (exps, phi), c in self.terms.items()
-        }
-        return FracSeries._of(self.ring, allvars, terms, self.meta)
+        return self._of(self.ring, allvars, self._terms_over(allvars), self.meta)
+
+    def add_term(self, exps, c) -> None:
+        """Add c * prod v^exps (exps aligned with vars, phi-degree 0) in place."""
+        key = (tuple(Fraction(e) for e in exps), 0)
+        cur = self.terms.get(key)
+        new = c if cur is None else cur + c
+        if new.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    def by_exponent(self):
+        """(exponent, coefficient) pairs of a one-variable series."""
+        return ((e, c) for ((e,), _phi), c in self.terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,38 +178,35 @@ class FracSeries:
 
     # -- ring operations --------------------------------------------------------
 
-    def __add__(self, other: "FracSeries") -> "FracSeries":
+    def _merge(self, other: "FracSeries", sub: bool) -> "FracSeries":
         allvars, a, b = self._aligned(other)
         out = dict(a)
         for key, c in b.items():
             cur = out.get(key)
-            s = c if cur is None else cur + c
+            s = (-c if sub else c) if cur is None else (cur - c if sub else cur + c)
             if s.is_zero():
                 out.pop(key, None)
             else:
                 out[key] = s
-        return FracSeries._of(self.ring, allvars, out, self.meta or other.meta)
+        return self._of(self.ring, allvars, out, self.meta or other.meta)
 
-    def __neg__(self) -> "FracSeries":
-        return FracSeries._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.meta)
+    def __add__(self, other: "FracSeries") -> "FracSeries":
+        return self._merge(other, False)
 
     def __sub__(self, other: "FracSeries") -> "FracSeries":
-        return self + (-other)
+        return self._merge(other, True)
+
+    def __neg__(self) -> "FracSeries":
+        return self._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.meta)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         allvars, a, b = self._aligned(other)
         # exponents add as integer numerators over one common denominator
-        den = lcm(*(e.denominator for terms in (a, b) for exps, _phi in terms for e in exps))
-
-        def ints(terms):
-            return [(tuple(e.numerator * (den // e.denominator) for e in exps), phi, c)
-                    for (exps, phi), c in terms.items()]
-
-        cols = ints(b)
+        den, (rows, cols) = integer_exponents(a, b)
         acc: dict = {}
-        for e1, p1, c1 in ints(a):
+        for e1, p1, c1 in rows:
             for e2, p2, c2 in cols:
                 if p1 + p2 > 1:
                     continue  # phi^2 = 0
@@ -182,7 +215,7 @@ class FracSeries:
                 acc[key] = c1 * c2 if cur is None else cur + c1 * c2
         out = {(tuple(Fraction(x, den) for x in e), phi): c
                for (e, phi), c in acc.items() if not c.is_zero()}
-        return FracSeries._of(self.ring, allvars, out, self.meta or other.meta)
+        return self._of(self.ring, allvars, out, self.meta or other.meta)
 
     __rmul__ = __mul__
 
@@ -191,31 +224,32 @@ class FracSeries:
             c = self.ring.rational(c)
         # a product of nonzero scalars can vanish: the ring has zero divisors at k = 5
         terms = {key: p for key, v in self.terms.items() if not (p := v * c).is_zero()}
-        return FracSeries._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms, self.meta)
 
     # -- extraction -------------------------------------------------------------
 
     def coefficient(self, assignment: dict, phi: int = 0) -> Scalar:
         """Coefficient of prod v^assignment[v] * phi^phi (missing vars: exponent 0)."""
+        zero = self.zero_coefficient(self.ring)
         for v in assignment:
             if v not in self.vars:
                 if Fraction(assignment[v]) != 0:
-                    return self.ring.zero
+                    return zero
         key = (tuple(Fraction(assignment.get(v, 0)) for v in self.vars), phi)
-        return self.terms.get(key, self.ring.zero)
+        return self.terms.get(key, zero)
 
     def coefficient_in(self, var: str, e) -> "FracSeries":
         """The coefficient series of var^e (var removed from the result)."""
         e = Fraction(e)
         if var not in self.vars:
-            return self if e == 0 else FracSeries.zero(self.ring, self.vars)
+            return self if e == 0 else self._of(self.ring, self.vars, {})
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
         out = {
             (exps[:i] + exps[i + 1 :], phi): c
             for (exps, phi), c in self.terms.items() if exps[i] == e
         }
-        return FracSeries._of(self.ring, rest, out, self.meta)
+        return self._of(self.ring, rest, out, self.meta)
 
     def residue(self, var: str) -> "FracSeries":
         """Res_var: the coefficient series of var^(-1)."""
@@ -229,30 +263,30 @@ class FracSeries:
 
     def phi_part(self, phi: int) -> "FracSeries":
         terms = {key: c for key, c in self.terms.items() if key[1] == phi}
-        return FracSeries._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms, self.meta)
 
     def strip_phi(self) -> "FracSeries":
         """Divide the phi-linear part by phi (phi-degree 1 terms become degree 0)."""
         terms = {(exps, 0): c for (exps, phi), c in self.terms.items() if phi == 1}
-        return FracSeries._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms, self.meta)
 
     def times_phi(self) -> "FracSeries":
         """Multiply by phi on the left (kills existing phi-degree-1 terms)."""
         terms = {(exps, 1): c for (exps, phi), c in self.terms.items() if phi == 0}
-        return FracSeries._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms, self.meta)
 
     # -- calculus ----------------------------------------------------------------
 
     def derivative(self, var: str) -> "FracSeries":
         if var not in self.vars:
-            return FracSeries.zero(self.ring, self.vars)
+            return self._of(self.ring, self.vars, {})
         i = self.vars.index(var)
         # e -> e - 1 is injective and c * e != 0 for a nonzero rational e
         out = {
             (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], phi): c * exps[i]
             for (exps, phi), c in self.terms.items() if exps[i] != 0
         }
-        return FracSeries._of(self.ring, self.vars, out, self.meta)
+        return self._of(self.ring, self.vars, out, self.meta)
 
     # -- substitutions -------------------------------------------------------------
 
@@ -273,7 +307,7 @@ class FracSeries:
             (exps[:i] + (exps[i] * factor,) + exps[i + 1 :], phi): c
             for (exps, phi), c in self.terms.items()
         }
-        return FracSeries._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms, self.meta)
 
     def shift_exponents(self, var: str, delta) -> "FracSeries":
         """Multiply by var^delta."""
@@ -284,7 +318,7 @@ class FracSeries:
             (exps[:i] + (exps[i] + delta,) + exps[i + 1 :], phi): c
             for (exps, phi), c in s.terms.items()
         }
-        return FracSeries._of(s.ring, s.vars, terms, s.meta)
+        return s._of(s.ring, s.vars, terms, s.meta)
 
     def eta_twist(self, var: str, j: int) -> "FracSeries":
         """The substitution var^(1/k) -> eta^j var^(1/k) for the ring's k.
@@ -304,7 +338,7 @@ class FracSeries:
                     f"exponent {exps[i]} of {var} is off the (1/{k})Z lattice"
                 )
             out[(exps, phi)] = c * self.ring.eta(j * int(km))
-        return FracSeries._of(self.ring, self.vars, out, self.meta)
+        return self._of(self.ring, self.vars, out, self.meta)
 
     def truncate(self, var: str, max_exp, min_exp=None) -> "FracSeries":
         """Drop terms with var-exponent above max_exp (or below min_exp)."""
@@ -318,7 +352,7 @@ class FracSeries:
             if key[0][i] <= max_exp and (lo is None or key[0][i] >= lo)
         }
         meta = f"{self.meta};trunc {var}<= {max_exp}" if self.meta else f"trunc {var}<={max_exp}"
-        return FracSeries._of(self.ring, self.vars, out, meta)
+        return self._of(self.ring, self.vars, out, meta)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
         """Substitute a whole series for var.  Only integer powers of var are
@@ -367,13 +401,7 @@ class FracSeries:
             return "0"
         bits = []
         for (exps, phi), c in sorted(self.terms.items()):
-            mono = [
-                f"{v}^{e}" for v, e in zip(self.vars, exps) if e != 0
-            ]
-            if phi:
-                mono.append("phi")
-            body = "*".join(mono) if mono else "1"
-            bits.append(f"({c.render()})*{body}")
+            bits.append(f"({c.render()})*{monomial_text(self.vars, exps, phi)}")
             if max_terms and len(bits) >= max_terms:
                 bits.append("...")
                 break
@@ -393,7 +421,7 @@ class FracSeries:
         return out
 
     def __repr__(self):
-        return f"<FracSeries {self.render(max_terms=6)}>"
+        return f"<{type(self).__name__} {self.render(max_terms=6)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +558,19 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
     if (isinstance(lc, Scalar) and lc != ring.one) or (not isinstance(lc, Scalar) and Fraction(lc) != 1):
         raise ValueError("binom_expand: leading coefficient must be 1")
     vars_ = tuple(sorted(set(lexps) | set(texps)))
+    lead_exps = [Fraction(lexps.get(v, 0)) for v in vars_]
+    tail_exps = [Fraction(texps.get(v, 0)) for v in vars_]
     terms: dict[Key, Scalar] = {}
     tpow = ring.one
     for j in range(order + 1):
         c = tpow * gbinom(exponent, j)
         if not c.is_zero():
-            key = tuple(
-                Fraction(lexps.get(v, 0)) * (exponent - j) + Fraction(texps.get(v, 0)) * j
-                for v in vars_
-            )
-            terms[(key, 0)] = terms.get((key, 0), ring.zero) + c
+            key = (tuple(a * (exponent - j) + b * j for a, b in zip(lead_exps, tail_exps)), 0)
+            cur = terms.get(key)
+            terms[key] = c if cur is None else cur + c
         tpow = tpow * tc
-    return FracSeries(ring, vars_, terms, meta=f"binom order<={order}")
+    terms = {key: c for key, c in terms.items() if not c.is_zero()}
+    return FracSeries._of(ring, vars_, terms, meta=f"binom order<={order}")
 
 
 def delta_truncated(
@@ -570,31 +599,36 @@ def delta_truncated(
     """
     shift, step = Fraction(shift), Fraction(step)
     dc, dexps = den
+    if dc not in (1, -1):
+        raise ValueError("delta denominator coefficient must be +-1")
     pc, pexps = prefix
     if not isinstance(pc, Scalar):
         pc = ring.rational(pc)
-    out = None
+    vars_, acc = (), {}
     for n in range(n_range[0], n_range[1] + 1):
         e = n * step + shift
+        if dc == -1 and e.denominator != 1:
+            raise CompositionDomainError("(-mono)^fractional is ambiguous")
         term = binom_expand(ring, lead, tail, e, tail_order)
-        # den^(-e)
-        if dc == -1:
-            if e.denominator != 1:
-                raise CompositionDomainError("(-mono)^fractional is ambiguous")
-            sign = ring.rational((-1) ** int(e))
-        elif dc == 1:
-            sign = ring.one
-        else:
-            raise ValueError("delta denominator coefficient must be +-1")
-        dmono = FracSeries.monomial(ring, sign, {v: -Fraction(x) * e for v, x in dexps.items()})
-        term = term * dmono
+        # times den^(-e): the sign of (-1)^(-e) and the phase in one scale
+        for v, x in dexps.items():
+            term = term.shift_exponents(v, -Fraction(x) * e)
+        c = ring.rational(-1) if dc == -1 and e.numerator % 2 else ring.one
         if phase is not None:
-            term = term * phase(n)
-        out = term if out is None else out + term
-    if out is None:
-        out = FracSeries.zero(ring)
-    pmono = FracSeries.monomial(ring, pc, {v: Fraction(x) for v, x in pexps.items()})
-    out = out * pmono
+            c = c * phase(n)
+        # every n-term has the vars of lead, tail and den
+        vars_ = term.vars
+        for key, t in term.scale(c).terms.items():
+            cur = acc.get(key)
+            s = t if cur is None else cur + t
+            if s.is_zero():
+                acc.pop(key, None)
+            else:
+                acc[key] = s
+    out = FracSeries._of(ring, vars_, acc)
+    for v, x in pexps.items():
+        out = out.shift_exponents(v, x)
+    out = out.scale(pc)
     out.meta = f"delta trunc n in {n_range}, tail<={tail_order}"
     return out
 
@@ -688,33 +722,37 @@ def assert_equal_on_window(
     trusted regions (derived from their truncation orders); this function
     only reports the first differing coefficient.
     """
+    return compare_on_window(a, b, window, identity, anchors, k, detail, _scalar_mismatch)
+
+
+def _scalar_mismatch(mono: str, ca: Scalar, cb: Scalar) -> str:
+    return f"at {mono}: {ca.render()} != {cb.render()}"
+
+
+def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: str, anchors,
+                      k: int | None, detail: str | None, mismatch) -> CheckReport:
+    """The window walk of every series comparison: over the union of both
+    operands' keys inside the window, in sorted key order, the first key
+    whose coefficients differ fails the report with the text
+    mismatch(monomial text, coefficient of a, coefficient of b)."""
     allvars, ta, tb = a._aligned(b)
-    keys = set()
-    for key in ta:
-        if window.contains(allvars, key[0]):
-            keys.add(key)
-    for key in tb:
-        if window.contains(allvars, key[0]):
-            keys.add(key)
-    zero = a.ring.zero
+    keys = {key for key in ta if window.contains(allvars, key[0])}
+    keys.update(key for key in tb if window.contains(allvars, key[0]))
+    zero = a.zero_coefficient(a.ring)
     for key in sorted(keys):
         ca = ta.get(key, zero)
         cb = tb.get(key, zero)
         if ca != cb:
-            exps, phi = key
-            where = "*".join(
-                [f"{v}^{e}" for v, e in zip(allvars, exps) if e != 0] + (["phi"] if phi else [])
-            ) or "1"
             return CheckReport(
                 identity,
-                anchors,
+                tuple(anchors),
                 window.render(),
                 "fail",
-                first_mismatch=f"at {where}: {ca.render()} != {cb.render()}",
+                first_mismatch=mismatch(monomial_text(allvars, *key), ca, cb),
                 detail=detail,
                 k=k,
             )
-    return CheckReport(identity, anchors, window.render(), "pass", detail=detail, k=k)
+    return CheckReport(identity, tuple(anchors), window.render(), "pass", detail=detail, k=k)
 
 
 # ---------------------------------------------------------------------------

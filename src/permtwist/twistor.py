@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Fr
 
 from .changeofvars import a_table
-from .exactnum import Scalar, ScalarRing, get_ring
+from .exactnum import ScalarRing, get_ring
 from .fermion import (
     Vec,
     VecSeries,
@@ -64,7 +64,6 @@ __all__ = [
     "delta_roundtrip_check",
     "twisted_floor",
     "ybar",
-    "other_slots",
     "twisted_field",
     "ModeAction",
     "twisted_mode",
@@ -178,9 +177,9 @@ def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None
         buckets = _exp_flow(comp, -1 if invert else 1, a)
         for J, vec in buckets.items():
             if invert:
-                out.add_term((p - Fr(p, k) - J,), vec, factor=ring.sqrt_k_pow(int(2 * (p - J))))
+                out.add_term((p - Fr(p, k) - J,), vec * ring.sqrt_k_pow(int(2 * (p - J))))
             else:
-                out.add_term((Fr(p - J, k) - p,), vec, factor=ring.sqrt_k_pow(int(-2 * p)))
+                out.add_term((Fr(p - J, k) - p,), vec * ring.sqrt_k_pow(int(-2 * p)))
     return out
 
 
@@ -189,8 +188,8 @@ def delta_roundtrip_check(u: Vec, *, var: str = "x",
     """D(x)^{-1} D(x) u == u, combining the exponent bookkeeping of both passes."""
     ring = u.ring
     back = VecSeries(ring, (var,))
-    for (e,), vec in delta_apply(u, var=var).terms.items():
-        for (e2,), vec2 in delta_apply(vec, invert=True, var=var).terms.items():
+    for e, vec in delta_apply(u, var=var).by_exponent():
+        for e2, vec2 in delta_apply(vec, invert=True, var=var).by_exponent():
             back.add_term((e + e2,), vec2)
     want = VecSeries(ring, (var,))
     want.add_term((Fr(0),), u)
@@ -211,7 +210,7 @@ def twisted_floor(u: Vec, target: Vec) -> Fr:
     """Lower bound for the x-exponents of the slot fields of u on target."""
     k = u.ring.k
     lo = None
-    for (e,), vec in delta_apply(u).terms.items():
+    for e, vec in delta_apply(u).by_exponent():
         cand = Fr(min_exponent(vec, target), k) + e
         lo = cand if lo is None else min(lo, cand)
     return Fr(0) if lo is None else lo
@@ -230,7 +229,7 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x", a_override=None
         raise ValueError(f"window must bound {var}")
     lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
     out = VecSeries(ring, (var,))
-    for (e,), uJ in delta_apply(u, a_override=a_override).terms.items():
+    for e, uJ in delta_apply(u, a_override=a_override).by_exponent():
         f_lo = max(math.ceil(k * (lo - e)), min_exponent(uJ, target))
         f_hi = math.floor(k * (hi - e))
         for f in range(f_lo, f_hi + 1):
@@ -238,31 +237,13 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x", a_override=None
     return out
 
 
-def other_slots(series: VecSeries, j: int, *, var: str = "x") -> VecSeries:
-    """Advance a twisted field by j slots: the substitution x^{1/k} -> eta^j x^{1/k}.
-
-    A term with var-exponent e (k*e integral) picks up the phase eta^{j*k*e};
-    j = 0 and j = k are both the identity.
-    """
-    ring = series.ring
-    k = ring.k
-    if j % k == 0:
-        return series
-
-    def phase(e: Fr) -> Scalar:
-        ke = k * e
-        if ke.denominator != 1:
-            raise CompositionDomainError(f"exponent {e} is off the (1/{k})Z lattice")
-        return ring.eta((j * int(ke)) % k)
-
-    return series.phase_by_exponent(var, phase)
-
-
 def twisted_field(u: Vec, slot: int, target: Vec, window: Window, *,
                   var: str = "x", a_override=None) -> VecSeries:
-    """The twisted field of u embedded in the given slot (1-indexed)."""
+    """The twisted field of u embedded in the given slot (1-indexed): the
+    slot-1 field advanced by slot - 1 slots, which is the substitution
+    x^{1/k} -> eta^{slot-1} x^{1/k}."""
     base = ybar(u, target, window, var=var, a_override=a_override)
-    return other_slots(base, (slot - 1) % target.ring.k, var=var)
+    return base.eta_twist(var, slot - 1)
 
 
 def _slot_field(slot: int):
@@ -274,9 +255,7 @@ def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSerie
     """Field of a formal combination: parts is ((coeff, state, slot), ...)."""
     out = VecSeries(target.ring, (var,))
     for c, state, slot in parts:
-        ser = twisted_field(state, slot, target, window, var=var)
-        for e, vec in ser.terms.items():
-            out.add_term(e, vec.scale(c))
+        out = out + twisted_field(state, slot, target, window, var=var).scale(c)
     return out
 
 
@@ -343,7 +322,7 @@ def twisted_mode(u: Vec, m, *, a_override=None) -> ModeAction:
     if (k * m).denominator != 1:
         return ModeAction(k, m, ())
     terms = []
-    for (e,), uJ in delta_apply(u, a_override=a_override).terms.items():
+    for e, uJ in delta_apply(u, a_override=a_override).by_exponent():
         n = k * (m + 1 + e) - 1
         if n.denominator != 1:
             raise CompositionDomainError(f"mode index {n} not integral (k={k}, m={m})")
@@ -493,17 +472,17 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None,
     d_lo = min_exponent(u, v)
     # left: dress down, insert, dress up
     lhs = VecSeries(ring, ("z", "z0"))
-    for (ez,), vJ in delta_apply(v, invert=True, var="z", a_override=a_override).terms.items():
+    for ez, vJ in delta_apply(v, invert=True, var="z", a_override=a_override).by_exponent():
         for d in range(min_exponent(u, vJ), z0_hi + 1):
             res = vertex_mode(u, -d - 1, vJ)
             if res.is_zero():
                 continue
-            for (ez2,), out_vec in delta_apply(res, var="z", a_override=a_override).terms.items():
+            for ez2, out_vec in delta_apply(res, var="z", a_override=a_override).by_exponent():
                 lhs.add_term((ez + ez2, Fr(d)), out_vec)
     # right: dress u at z+z0, insert at the root difference
     rhs = VecSeries(ring, ("z", "z0"))
     ypows: dict[int, FracSeries] = {}
-    for (E,), uJ in delta_apply(u, var="z", a_override=a_override).terms.items():
+    for E, uJ in delta_apply(u, var="z", a_override=a_override).by_exponent():
         e_lo = min_exponent(uJ, v)
         # negative powers of the root difference reach down to z0^e, so the
         # prefactor needs the matching extra depth before the product
@@ -674,13 +653,13 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     band_hi = b0_max + d2_max
     inner = twisted_field(v, s2, w, Window.of(x2=(vflr - N, g2_hi)), var="x2")
     prect: dict[tuple[Fr, Fr], Vec] = {}
-    for (f2,), ivec in sorted(inner.terms.items()):
+    for f2, ivec in sorted(inner.by_exponent()):
         y_lo = max(uflr - N, band_lo - f2)
         y_hi = min(g1_hi, band_hi - f2)
         if y_lo > y_hi or ivec.is_zero():
             continue
         outer = ybar(u, ivec, Window.of(y=(y_lo, y_hi)), var="y")
-        for (f1,), res in outer.terms.items():
+        for f1, res in outer.by_exponent():
             prect[(f1, f2)] = res
     binN = [ring.rational(math.comb(N, l) * (-1) ** l) for l in range(N + 1)]
     qcache: dict[tuple[Fr, Fr], Vec | None] = {}
@@ -905,9 +884,9 @@ def untwist(u: Vec, w: Vec, window: Window, *, var: str = "x") -> VecSeries:
         raise ValueError(f"window must bound {var}")
     lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
     out = VecSeries(ring, (var,))
-    for (E,), uJ in delta_apply(u, invert=True).terms.items():
+    for E, uJ in delta_apply(u, invert=True).by_exponent():
         sub = Window.of(**{var: (Fr(lo, k) - E, Fr(hi, k) - E)})
-        for (e,), vec in ybar(uJ, w, sub, var=var).terms.items():
+        for e, vec in ybar(uJ, w, sub, var=var).by_exponent():
             exp = k * (e + E)
             if exp.denominator != 1:
                 raise CompositionDomainError(
@@ -1019,7 +998,7 @@ def roundtrip_retwist_check(u: Vec, m: int, w: Vec, *,
     k = ring.k
     want = vertex_mode(u, m, w)
     got = Vec(ring)
-    for (E,), uJ in delta_apply(u, invert=True).terms.items():
+    for E, uJ in delta_apply(u, invert=True).by_exponent():
         got = got + twisted_mode(uJ, Fr(m + 1, k) + E - 1).apply(w)
     status = "pass" if got == want else "fail"
     mismatch = None if status == "pass" else f"{got.render()} != {want.render()}"

@@ -34,7 +34,7 @@ from permtwist.fermion import (
     state_weight,
     tensor_basis,
     tensor_omega,
-    two_point,
+    two_sided,
     untwisted_jacobi_check,
     vac_vec,
     vec_equal_on_window,
@@ -43,7 +43,7 @@ from permtwist.fermion import (
     virasoro_bracket_check,
     virasoro_mode,
 )
-from permtwist.fseries import Window
+from permtwist.fseries import FracSeries, Window, assert_equal_on_window
 
 R1 = get_ring(1)
 
@@ -178,7 +178,7 @@ def test_virasoro_bracket_tensor_c_sums():
 def test_vertex_op_window():
     win = Window.of(x=(-4, 2))
     s = vertex_op(omega_vec(R1), psi_vec(R1), win)
-    assert all(-4 <= e[0] <= 2 for e in s.support())
+    assert all(-4 <= e <= 2 for e in s.exponents_of("x"))
     # L(0) psi = psi/2 sits at exponent -2 (mode 1 of omega)
     assert s.coefficient({"x": -2}) == psi_vec(R1).scale(F(1, 2))
 
@@ -329,7 +329,7 @@ def test_jacobi_negative_control():
     assert bad.status == "fail"
     assert box.contains(("x0", "x1", "x2"), _mismatch_exponents(bad.first_mismatch, ("x0", "x1", "x2")))
     # sanity: the two-point function itself is nonzero somewhere in the box
-    tp = two_point(psi, psi, w, (-3, 3), (-3, 3))
+    tp = two_sided(vertex_op, psi, psi, w, (-3, 3), (-3, 3), ("x1", "x2"))
     assert not tp.is_zero()
 
 
@@ -386,25 +386,41 @@ def test_l_derivative_vacuum_trivial():
 
 
 def test_vecseries_alignment_and_arith():
-    a = VecSeries(R1, ("x",), {(F(1),): psi_vec(R1)})
-    b = VecSeries(R1, ("z",), {(F(2),): psi_vec(R1)})
+    a = VecSeries(R1, ("x",), {((F(1),), 0): psi_vec(R1)})
+    b = VecSeries(R1, ("z",), {((F(2),), 0): psi_vec(R1)})
     c = a + b
     assert c.coefficient({"x": 1}) == psi_vec(R1)
     assert c.coefficient({"z": 2}) == psi_vec(R1)
     assert (c - c).is_zero()
 
 
-def test_vecseries_mul_series_exponents():
-    from permtwist.fseries import FracSeries
+def test_mismatch_texts_of_the_window_walk():
+    # the scalar and the vector rendering of the first mismatch, byte for byte
+    a = FracSeries.monomial(R1, 2, {"x": 1}, phi=1)
+    b = FracSeries.monomial(R1, F(-1, 2), {"x": 1}, phi=1) + FracSeries.monomial(R1, 5, {"x": 2})
+    rep = assert_equal_on_window(a, b, Window.of(x=(-2, 2)), "scalar")
+    assert rep.first_mismatch == "at x^1*phi: 2 != -1/2"
+    # vars declared as (x2, x1) are stored sorted
+    va = VecSeries(R1, ("x2", "x1"), {((F(1), F(-1)), 0): psi_vec(R1)})
+    assert va.vars == ("x1", "x2")
+    vb = VecSeries(R1, ("x1", "x2"))
+    rep = vec_equal_on_window(va, vb, Window.of(x1=(-1, 1), x2=(-1, 1)), "vector")
+    assert rep.first_mismatch == "at x1^-1*x2^1, psi(-1/2)|0>: 1 != 0"
+    # of several differing basis keys, the first in sorted order is named
+    vc = VecSeries(R1, ("x1", "x2"), {((F(-1), F(1)), 0): psi_vec(R1).scale(2) + vac_vec(R1).scale(3)})
+    rep = vec_equal_on_window(va, vc, Window.of(x1=(-1, 1), x2=(-1, 1)), "vector")
+    assert rep.first_mismatch == "at x1^-1*x2^1, |0>: 0 != 3"
 
-    a = VecSeries(R1, ("x",), {(F(-1),): psi_vec(R1)})
+
+def test_vecseries_mul_series_exponents():
+    a = VecSeries(R1, ("x",), {((F(-1),), 0): psi_vec(R1)})
     s = FracSeries.monomial(R1, F(3), {"x": F(1, 2), "z": 2})
     out = a.mul_series(s)
     assert out.coefficient({"x": F(-1, 2), "z": 2}) == psi_vec(R1).scale(3)
 
 
 def test_vecseries_exponent_maps():
-    a = VecSeries(R1, ("x",), {(F(2),): psi_vec(R1)})
+    a = VecSeries(R1, ("x",), {((F(2),), 0): psi_vec(R1)})
     assert a.shift_exponents("x", F(1, 3)).exponents_of("x") == {F(7, 3)}
     assert a.scale_exponents("x", F(1, 2)).exponents_of("x") == {F(1)}
     d = a.derivative("x")
@@ -415,4 +431,4 @@ def test_min_exponent_floor():
     # Y(psi, x) psi bottoms out at the vacuum: modes kill below weight 0
     assert min_exponent(psi_vec(R1), psi_vec(R1)) == -1
     s = vertex_op(psi_vec(R1), psi_vec(R1), Window.of(x=(-5, 3)))
-    assert min(e[0] for e in s.support()) >= -1
+    assert min(s.exponents_of("x")) >= -1

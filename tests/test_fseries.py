@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permtwist.exactnum import get_ring
+from permtwist.fermion import Vec, VecSeries
 from permtwist.fseries import (
     CompositionDomainError,
     FracSeries,
@@ -246,34 +247,45 @@ def _scalar(ring, pieces):
     return out
 
 
-def _plain_and_series(ring, raw):
-    """A plain {((ex, ey), phi): Scalar} dict and the FracSeries built from it."""
+def _plain_and_series(ring, raw, vec=False, even=False):
+    """A plain {((ex, ey), phi): coefficient} dict and the series built from it.
+
+    With vec, each coefficient c becomes the vector c psi(-1/2)|0> +
+    c^2 psi(-3/2)psi(-1/2)|0> of a VecSeries; a vector series, and with even
+    any series, has phi-degree 0 throughout.
+    """
     terms, layout = raw
     plain = {}
     for (ex, ey), phi, pieces in terms:
-        key = ((ex, Fr(0) if layout == 2 else ey), phi)
+        key = ((ex, Fr(0) if layout == 2 else ey), 0 if vec or even else phi)
         plain[key] = plain.get(key, ring.zero) + _scalar(ring, pieces)
+    if vec:
+        plain = {key: Vec(ring, {(-1,): c, (-2, -1): c * c}) for key, c in plain.items()}
+    cls = VecSeries if vec else FracSeries
     if layout == 0:
-        return plain, FracSeries(ring, XY, plain)
+        return plain, cls(ring, XY, plain)
     if layout == 1:
-        return plain, FracSeries(ring, ("y", "x"), {((ey, ex), phi): c for ((ex, ey), phi), c in plain.items()})
-    return plain, FracSeries(ring, ("x",), {((ex,), phi): c for ((ex, _ey), phi), c in plain.items()})
+        return plain, cls(ring, ("y", "x"), {((ey, ex), phi): c for ((ex, ey), phi), c in plain.items()})
+    return plain, cls(ring, ("x",), {((ex,), phi): c for ((ex, _ey), phi), c in plain.items()})
 
 
-def _plain_sum(ring, a, b, sign=1):
+def _plus(out, key, c):
+    out[key] = c if key not in out else out[key] + c
+
+
+def _plain_sum(a, b, sign=1):
     out = dict(a)
     for key, c in b.items():
-        out[key] = out.get(key, ring.zero) + (c if sign > 0 else -c)
+        _plus(out, key, c if sign > 0 else -c)
     return out
 
 
-def _plain_product(ring, a, b):
+def _plain_product(a, b):
     out = {}
     for (e1, p1), c1 in a.items():
         for (e2, p2), c2 in b.items():
             if p1 + p2 < 2:
-                key = (tuple(map(add, e1, e2)), p1 + p2)
-                out[key] = out.get(key, ring.zero) + c1 * c2
+                _plus(out, (tuple(map(add, e1, e2)), p1 + p2), c1 * c2)
     return out
 
 
@@ -287,32 +299,39 @@ def _on_x(plain, f):
     return out
 
 
-def _assert_canonical(s):
+def _assert_canonical(s, cls):
+    assert type(s) is cls
     assert s.vars == tuple(sorted(s.vars))
     for (exps, phi), c in s.terms.items():
         assert len(exps) == len(s.vars) and all(type(e) is Fr for e in exps)
-        assert phi in (0, 1)
+        assert phi in ((0,) if cls is VecSeries else (0, 1))
         assert not c.is_zero()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from((1, 3, 5)), _RAW, _RAW)
-def test_results_are_canonical_and_match_plain_dict_arithmetic(k, raw_a, raw_b):
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((1, 3, 5)), _RAW, _RAW, st.booleans())
+def test_results_are_canonical_and_match_plain_dict_arithmetic(k, raw_a, raw_b, vec):
     ring = get_ring(k)
-    pa, a = _plain_and_series(ring, raw_a)
-    pb, b = _plain_and_series(ring, raw_b)
+    pa, a = _plain_and_series(ring, raw_a, vec)
+    pb, b = _plain_and_series(ring, raw_b, vec)
+    if vec:  # a vector series is multiplied by a scalar series of phi-degree 0
+        ps, s = _plain_and_series(ring, raw_b, even=True)
+        product = (a.mul_series(s), _plain_product(pa, ps))
+    else:
+        product = (a * b, _plain_product(pa, pb))
     cases = [
-        (a * b, _plain_product(ring, pa, pb)),
-        (a + b, _plain_sum(ring, pa, pb)),
-        (a - b, _plain_sum(ring, pa, pb, sign=-1)),
+        product,
+        (a + b, _plain_sum(pa, pb)),
+        (a - b, _plain_sum(pa, pb, sign=-1)),
         (a.derivative("x"), _on_x(pa, lambda e, c: (e - 1, c * e) if e != 0 else None)),
         (a.truncate("x", Fr(1, 2), Fr(-2, 3)), _on_x(pa, lambda e, c: (e, c) if Fr(-2, 3) <= e <= Fr(1, 2) else None)),
         (a.shift_exponents("x", Fr(-5, 6)), _on_x(pa, lambda e, c: (e - Fr(5, 6), c))),
         (a.scale_exponents("x", Fr(-3, 2)), _on_x(pa, lambda e, c: (e * Fr(-3, 2), c))),
     ]
+    cls = VecSeries if vec else FracSeries
     for got, plain in cases:
-        _assert_canonical(got)
-        assert got == FracSeries(ring, XY, plain)
+        _assert_canonical(got, cls)
+        assert got == cls(ring, XY, plain)
 
 
 def test_zero_divisor_products_are_dropped():

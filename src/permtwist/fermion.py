@@ -23,7 +23,6 @@ from .fseries import (
     Window,
     compare_on_window,
     delta_truncated,
-    gbinom,
     integer_exponents,
 )
 
@@ -36,8 +35,13 @@ TKey = tuple  # tuple of States
 # ---------------------------------------------------------------------------
 
 
+def _twice_weight(s: State) -> int:
+    # 2 wt(psi_{a1} ... psi_{ar} |0>) = -2 (a1 + ... + ar) - r, an integer
+    return -2 * sum(s) - len(s)
+
+
 def state_weight(s: State) -> Fr:
-    return sum((-a - Fr(1, 2) for a in s), Fr(0))
+    return Fr(_twice_weight(s), 2)
 
 
 def is_tensor_key(key) -> bool:
@@ -45,9 +49,7 @@ def is_tensor_key(key) -> bool:
 
 
 def key_weight(key) -> Fr:
-    if is_tensor_key(key):
-        return sum((state_weight(s) for s in key), Fr(0))
-    return state_weight(key)
+    return Fr(sum(map(_twice_weight, key)) if is_tensor_key(key) else _twice_weight(key), 2)
 
 
 def key_parity(key) -> int:
@@ -275,14 +277,14 @@ def clifford_apply(a: int, target: Vec) -> Vec:
 # ---------------------------------------------------------------------------
 
 
-def _q_max(weight: Fr) -> int:
+def _q_max(twice_weight: int) -> int:
     # largest integer q with a_q nonzero on weight grounds: q <= weight - 1
-    return math.floor(weight - 1)
+    return (twice_weight - 2) // 2
 
 
-@lru_cache(maxsize=None)
-def _mode_single(ring_k: int, u: State, n: int, v: State):
-    """u_n applied to basis state v; returns ((state, Scalar), ...).
+@lru_cache(maxsize=2**18)  # bounded; criterion 08 fills far fewer entries
+def _mode_single(u: State, n: int, v: State):
+    """u_n applied to basis state v; returns ((state, int), ...), sorted, no zeros.
 
     Recursion: for u = psi_{-m-1} a,
 
@@ -291,84 +293,81 @@ def _mode_single(ring_k: int, u: State, n: int, v: State):
 
     i.e. the normal-ordered product of the m-th divided-power derivative of
     the generator field with Y(a, x), with the Koszul sign on the
-    annihilation half.  Base case: vacuum modes are delta_{N,-1} id.
+    annihilation half.  Base case: vacuum modes are delta_{N,-1} id.  Every
+    coefficient is an integer and none depends on k: the table is shared by
+    all twist orders and enters the scalar ring only in vertex_mode.
     """
-    ring = get_ring(ring_k)
     if not u:
-        return ((v, ring.one),) if n == -1 else ()
+        return ((v, 1),) if n == -1 else ()
     a1, rest = u[0], u[1:]
     m = -a1 - 1
-    out = Vec(ring)
+    out: dict = {}
     # creation half: psi_r after a rest-mode
-    qm = _q_max(state_weight(rest) + state_weight(v))
+    qm = _q_max(_twice_weight(rest) + _twice_weight(v))
     r = -1
     while n - r - m - 1 <= qm:
-        cmb = math.comb(-r - 1, m) if -r - 1 >= m else 0
+        cmb = math.comb(-r - 1, m)
         if cmb:
-            inner = _mode_single(ring_k, rest, n - r - m - 1, v)
-            for s, c in inner:
+            for s, c in _mode_single(rest, n - r - m - 1, v):
                 hit = clifford_apply_state(r, s)
                 if hit is not None:
                     sign, new = hit
-                    out.accumulate(((new, c),), ring.rational(Fr(sign * cmb)))
+                    out[new] = out.get(new, 0) + sign * cmb * c
         r -= 1
-    # annihilation half: psi_r first, then the rest-mode
+    # annihilation half: psi_r first, then the rest-mode; C(-r-1, m) at the
+    # negative integer b = -r-1 is (-1)^m C(m-b-1, m), never zero
     par = (-1) ** (len(rest) % 2)
     for b in v:
         r = -1 - b
-        cmb = gbinom(Fr(-r - 1), m)
-        if not cmb:
-            continue
         sign, stripped = clifford_apply_state(r, v)
-        inner = _mode_single(ring_k, rest, n - r - m - 1, stripped)
-        out.accumulate(inner, ring.rational(par * sign * cmb))
-    return tuple(sorted(out.terms.items()))
+        f = par * sign * (-1) ** m * math.comb(m - b - 1, m)
+        for s, c in _mode_single(rest, n - r - m - 1, stripped):
+            out[s] = out.get(s, 0) + f * c
+    return tuple(sorted((s, c) for s, c in out.items() if c))
 
 
-@lru_cache(maxsize=None)
-def _mode_tensor(ring_k: int, u_key: TKey, n: int, v_key: TKey):
+@lru_cache(maxsize=2**18)
+def _mode_tensor(u_key: TKey, n: int, v_key: TKey):
     """(u1 (x) R)_n on (v1 (x) S) = (-1)^{|R||v1|} sum_{p+q=n-1} u1_p v1 (x) R_q S."""
-    ring = get_ring(ring_k)
     if len(u_key) == 1:
-        inner = _mode_single(ring_k, u_key[0], n, v_key[0])
-        return tuple(((s,), c) for s, c in inner)
+        return tuple(((s,), c) for s, c in _mode_single(u_key[0], n, v_key[0]))
     u1, rest = u_key[0], u_key[1:]
     v1, vrest = v_key[0], v_key[1:]
     sign = (-1) ** (key_parity(rest) * key_parity(v1))
-    out = Vec(ring)
-    p_hi = _q_max(state_weight(u1) + state_weight(v1))
-    p_lo = n - 1 - _q_max(key_weight(rest) + key_weight(vrest))
+    out = []  # u1_p v1 has weight wt(u1) + wt(v1) - p - 1, so no key repeats
+    p_hi = _q_max(_twice_weight(u1) + _twice_weight(v1))
+    p_lo = n - 1 - _q_max(sum(map(_twice_weight, rest + vrest)))
     for p in range(p_lo, p_hi + 1):
-        first = _mode_single(ring_k, u1, p, v1)
+        first = _mode_single(u1, p, v1)
         if not first:
             continue
-        second = _mode_tensor(ring_k, rest, n - 1 - p, vrest)
-        for s1, c1 in first:
-            for skey, c2 in second:
-                out.accumulate((((s1,) + skey, c2),), c1 * Fr(sign))
-    return tuple(sorted(out.terms.items()))
+        second = _mode_tensor(rest, n - 1 - p, vrest)
+        out.extend(((s1,) + skey, sign * c1 * c2) for s1, c1 in first for skey, c2 in second)
+    return tuple(sorted(out))
 
 
-def _mode_on_key(ring_k: int, u_key, n: int, v_key):
+def _mode_on_key(u_key, n: int, v_key):
     if is_tensor_key(u_key) or is_tensor_key(v_key):
         if len(u_key) != len(v_key):
             raise ValueError("tensor keys must have the same number of slots")
-        return _mode_tensor(ring_k, u_key, n, v_key)
-    return _mode_single(ring_k, u_key, n, v_key)
+        return _mode_tensor(u_key, n, v_key)
+    return _mode_single(u_key, n, v_key)
 
 
 def vertex_mode(u: Vec, n: int, target: Vec) -> Vec:
-    """The mode u_n of Y(u, x) applied to target (single or tensor keys)."""
+    """The mode u_n of Y(u, x) applied to target (single or tensor keys).
+
+    The integer mode tables enter the target's ring here, scaled by uc * tc."""
     out = Vec(target.ring)
     for uk, uc in u.terms.items():
         for tk, tc in target.terms.items():
-            out.accumulate(_mode_on_key(target.ring.k, uk, n, tk), uc * tc)
+            out.accumulate(_mode_on_key(uk, n, tk), uc * tc)
     return out
 
 
 def min_exponent(u: Vec, target: Vec) -> int:
     """Smallest x-exponent of Y(u,x)target (weight floor of the module)."""
-    return -_q_max(u.max_weight() + target.max_weight()) - 1
+    return -_q_max(int(2 * (u.max_weight() + target.max_weight()))) - 1
 
 
 def virasoro_mode(n: int, target: Vec) -> Vec:

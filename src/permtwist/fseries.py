@@ -94,7 +94,8 @@ class FracSeries:
             if isinstance(c, (int, Fraction)):
                 c = ring.rational(c)
             if not c.is_zero():
-                clean[(tuple(Fraction(exps[i]) for i in perm), phi)] = c
+                exps = [exps[i] for i in perm]
+                clean[(tuple(e if type(e) is Fraction else Fraction(e) for e in exps), phi)] = c
         self.ring, self.vars, self.terms, self.meta = ring, order, clean, meta
 
     @classmethod
@@ -155,7 +156,7 @@ class FracSeries:
 
     def add_term(self, exps, c) -> None:
         """Add c * prod v^exps (exps aligned with vars, phi-degree 0) in place."""
-        key = (tuple(Fraction(e) for e in exps), 0)
+        key = (tuple(e if type(e) is Fraction else Fraction(e) for e in exps), 0)
         cur = self.terms.get(key)
         new = c if cur is None else cur + c
         if new.is_zero():

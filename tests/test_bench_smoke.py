@@ -54,3 +54,21 @@ def test_tracer_wraps_every_layer_once_and_restores_it():
         tracer.uninstall()
     for holder, name, orig in restore:
         assert vars(holder)[name] is orig, name
+
+
+def test_tracer_reads_mode_tables_shared_across_k():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from permtwist.exactnum import get_ring
+    from permtwist.fermion import Vec, psi_vec, vertex_mode
+
+    assert tracing.mode_cache_totals() is not None
+    calls = {k: (psi_vec(get_ring(k)), Vec.basis(get_ring(k), (-5, -3, -2))) for k in (1, 3)}
+    for n in range(-3, 5):
+        vertex_mode(calls[1][0], n, calls[1][1])
+        before = tracing.mode_cache_totals()
+        vertex_mode(calls[3][0], n, calls[3][1])
+        after = tracing.mode_cache_totals()
+        assert after["misses"] == before["misses"], n
+        assert after["hits"] > before["hits"], n

@@ -12,6 +12,8 @@ from permtwist.exactnum import get_ring
 from permtwist.fermion import (
     Vec,
     VecSeries,
+    _mode_single,
+    _mode_tensor,
     clifford_apply,
     clifford_apply_state,
     eigenprojection,
@@ -43,7 +45,7 @@ from permtwist.fermion import (
     virasoro_bracket_check,
     virasoro_mode,
 )
-from permtwist.fseries import FracSeries, Window, assert_equal_on_window
+from permtwist.fseries import FracSeries, Window, assert_equal_on_window, gbinom
 
 R1 = get_ring(1)
 
@@ -181,6 +183,49 @@ def test_vertex_op_window():
     assert all(-4 <= e <= 2 for e in s.exponents_of("x"))
     # L(0) psi = psi/2 sits at exponent -2 (mode 1 of omega)
     assert s.coefficient({"x": -2}) == psi_vec(R1).scale(F(1, 2))
+
+
+def _is_int_table(table) -> bool:
+    keys = [key for key, _c in table]
+    return keys == sorted(set(keys)) and all(type(c) is int and c for _key, c in table)
+
+
+def test_mode_tables_are_integer_sorted_and_zero_free():
+    basis = standard_basis(F(5, 2))
+    for u in basis:
+        for v in basis:
+            for n in range(-6, 6):
+                assert _is_int_table(_mode_single(u, n, v)), (u, n, v)
+    pairs = tensor_basis(2, F(3, 2))
+    for u in pairs:
+        for v in pairs:
+            for n in range(-4, 4):
+                assert _is_int_table(_mode_tensor(u, n, v)), (u, n, v)
+
+
+def test_mode_caches_are_bounded():
+    for table in (_mode_single, _mode_tensor):
+        assert table.cache_info().maxsize >= 2**18
+
+
+@pytest.mark.parametrize("b", range(-8, 0))
+def test_annihilation_binomial_at_negative_integers(b):
+    # the m-th divided derivative of psi lowers psi_b|0> to the vacuum with
+    # coefficient C(b, m), from the annihilation half of the recursion alone
+    for m in range(7):
+        assert _mode_single((-m - 1,), m - b - 1, (b,)) == (((), gbinom(F(b), m)),)
+
+
+def test_vertex_mode_is_the_same_over_every_ring():
+    basis = standard_basis(F(3, 2))
+    for u in basis:
+        for w in basis:
+            for n in range(-4, 3):
+                outs = [vertex_mode(Vec.basis(get_ring(k), u), n, Vec.basis(get_ring(k), w))
+                        for k in range(1, 6)]
+                assert all(c.is_rational() for out in outs for c in out.terms.values())
+                got = [{key: c.as_rational() for key, c in out.terms.items()} for out in outs]
+                assert all(g == got[0] for g in got), (u, n, w)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from .fseries import (
     assert_equal_on_window,
     binom_expand,
     exp_series,
+    inverse_factorial,
     invert_series,
     log_series,
+    power_sum,
     unit_pow,
 )
 
@@ -135,29 +137,19 @@ def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trun
     """exp(sign * sum_j coeffs[j-1] var^{j+1} d/dvar) . a0^{var d/dvar} . var.
 
     Truncated above var^order (each generator raises the var-degree by at
-    least one, so the loop provably terminates); `trunc` optionally bounds a
+    least one, so the sum provably terminates); `trunc` optionally bounds a
     second variable when the coefficients are themselves series.
     """
     cmap = {j + 1: c for j, c in enumerate(coeffs)}
     seed = FracSeries.monomial(ring, 1, {var: 1})
     if a0 is not None:
         seed = seed * a0
-    out = seed
-    acc = seed
-    fact = Fr(1)
-    i = 0
-    while not acc.is_zero():
-        i += 1
-        if i > int(Fraction(order)) + 2:
-            raise RuntimeError("exponential flow failed to terminate within the window")
-        fact = fact / i
+
+    def step(acc: FracSeries) -> FracSeries:
         acc = _apply_flow(cmap, var, acc, sign).truncate(var, order)
-        if trunc is not None:
-            acc = acc.truncate(trunc[0], trunc[1])
-        if acc.is_zero():
-            break
-        out = out + acc * fact
-    return out
+        return acc if trunc is None else acc.truncate(trunc[0], trunc[1])
+
+    return power_sum(seed, step, inverse_factorial, int(Fraction(order)) + 2)
 
 
 def solve_exp_coeffs(
@@ -448,28 +440,6 @@ def theta_verify(k: int, order: int = 4, z0_order: int = 6) -> list[CheckReport]
 # ---------------------------------------------------------------------------
 
 
-def _int_pow(base: FracSeries, n: int, var: str, trunc_order) -> FracSeries:
-    """base^n truncated in var; negative n via series inversion.
-
-    For n < 0 the inverse is computed to trunc_order + |n| so that repeated
-    multiplication by a term of var-order -1 cannot pull dropped terms back
-    below the trusted window.
-    """
-    if n == 0:
-        return FracSeries.one(base.ring)
-    if n > 0:
-        p = FracSeries.one(base.ring)
-        for _ in range(n):
-            p = (p * base).truncate(var, trunc_order)
-        return p
-    deep = Fr(trunc_order) + (-n)
-    inv = invert_series(base, var, deep)
-    p = FracSeries.one(base.ring)
-    for _ in range(-n):
-        p = (p * inv).truncate(var, deep)
-    return p.truncate(var, trunc_order)
-
-
 def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward: bool = True) -> FracSeries:
     """Image of x^n (odd=False) or phi x^n (odd=True) under the covering map.
 
@@ -491,7 +461,7 @@ def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward:
         full = binom_expand(ring, (1, {"z": 1}), (1, {"x": 1}), Fr(1, k), int(deep) + 1)
         base = full - FracSeries.monomial(ring, 1, {"z": Fr(1, k)})
         dress_exp, dress_lead, scale = Fr(1 - k, 2 * k), {"z": 1}, ring.sqrt_k_pow(-1)
-    img = _int_pow(base, n, "x", trunc_order)
+    img = FracSeries.monomial(ring, 1, {"y": n}).substitute("y", base, "x", trunc_order)
     if odd:
         # the dressing must reach degree trunc_order + |n|: low-degree terms of
         # x^n pair with high-degree dressing terms inside the trusted window
@@ -590,24 +560,15 @@ def superfield_transform(k: int, s: FracSeries, trunc_order: int, coeff_order: i
             e + (Fr(k - 1, k) * half if v == "z" else 0) for v, e in zip(s.vars, exps)
         )
         graded[(key, phi)] = factor
-    cur = FracSeries(ring, s.vars, graded).with_vars(("z",))
-    out = cur
-    fact = Fr(1)
-    i = 0
-    while not cur.is_zero():
-        i += 1
-        if i > int(trunc_order) + 2:
-            raise RuntimeError("superfield exponential failed to terminate within the window")
-        fact = fact / i
+    seed = FracSeries(ring, s.vars, graded).with_vars(("z",))
+
+    def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)
         for j, aj in enumerate(a, start=1):
-            term = superfield_generator(j, cur).shift_exponents("z", Fr(-j, k)) * aj
-            nxt = nxt + term
-        cur = nxt.truncate("x", trunc_order)
-        if cur.is_zero():
-            break
-        out = out + cur * fact
-    return out
+            nxt = nxt + superfield_generator(j, cur).shift_exponents("z", Fr(-j, k)) * aj
+        return nxt.truncate("x", trunc_order)
+
+    return power_sum(seed, step, inverse_factorial, int(trunc_order) + 2)
 
 
 def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:

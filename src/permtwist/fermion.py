@@ -622,7 +622,6 @@ def untwisted_jacobi_check(
     v: Vec,
     w: Vec,
     box: Window | None = None,
-    identity: str = "untwisted.jacobi",
 ) -> CheckReport:
     """Brute-force Jacobi identity on one target vector:
 
@@ -647,7 +646,7 @@ def untwisted_jacobi_check(
         lhs,
         rhs,
         box,
-        identity,
+        "untwisted.jacobi",
         anchors=(
             "x0^-1 d((x1-x2)/x0) Y(u,x1)Y(v,x2)w - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Y(v,x2)Y(u,x1)w"
             " == x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v,x2)w",
@@ -656,7 +655,7 @@ def untwisted_jacobi_check(
     )
 
 
-def skew_symmetry_check(u: Vec, v: Vec, hi: int = 6, identity: str = "untwisted.skew") -> CheckReport:
+def skew_symmetry_check(u: Vec, v: Vec, hi: int = 6) -> CheckReport:
     """Y(u,x)v == (-1)^{|u||v|} exp(x L(-1)) Y(v,-x)u, coefficientwise."""
     ring = u.ring
     lo = min(min_exponent(u, v), min_exponent(v, u))
@@ -677,13 +676,12 @@ def skew_symmetry_check(u: Vec, v: Vec, hi: int = 6, identity: str = "untwisted.
             acc = acc + cur.scale(fact * eps)
         rhs.add_term((Fr(e),), acc)
     return vec_equal_on_window(
-        lhs, rhs, win, identity,
+        lhs, rhs, win, "untwisted.skew",
         anchors=("Y(u,x)v == (-1)^|u||v| exp(x L(-1)) Y(v,-x)u",), k=ring.k,
     )
 
 
-def l_derivative_check(u: Vec, target: Vec, hi: int = 5,
-                       identity: str = "untwisted.l-minus-one") -> CheckReport:
+def l_derivative_check(u: Vec, target: Vec, hi: int = 5) -> CheckReport:
     """Y(L(-1)u, x) == d/dx Y(u, x) applied to target."""
     ring = u.ring
     lo = min_exponent(u, target) - 2
@@ -691,13 +689,12 @@ def l_derivative_check(u: Vec, target: Vec, hi: int = 5,
     lhs = vertex_op(virasoro_mode(-1, u), target, win)
     rhs = vertex_op(u, target, Window.of(x=(lo, hi + 1))).derivative("x").truncate_window(win)
     return vec_equal_on_window(
-        lhs, rhs, win, identity,
+        lhs, rhs, win, "untwisted.l-minus-one",
         anchors=("Y(L(-1)u,x) == d/dx Y(u,x)",), k=ring.k,
     )
 
 
-def virasoro_bracket_check(max_weight=4, m_range=(-3, 3), k_slots: int | None = None,
-                           identity: str = "untwisted.virasoro-bracket") -> CheckReport:
+def virasoro_bracket_check(max_weight=4, m_range=(-3, 3), k_slots: int | None = None) -> CheckReport:
     """[L(m), L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c, with c = 1/2
     per slot, on every basis state up to the weight cutoff."""
     ring = get_ring(1) if k_slots is None else get_ring(k_slots)
@@ -714,7 +711,7 @@ def virasoro_bracket_check(max_weight=4, m_range=(-3, 3), k_slots: int | None = 
                     rhs = rhs + w.scale(Fr(m**3 - m, 12) * c_total)
                 if lhs != rhs:
                     return CheckReport(
-                        identity,
+                        "untwisted.virasoro-bracket",
                         ("[L(m),L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c",),
                         win.render(),
                         "fail",
@@ -723,7 +720,7 @@ def virasoro_bracket_check(max_weight=4, m_range=(-3, 3), k_slots: int | None = 
                         k=ring.k,
                     )
     return CheckReport(
-        identity,
+        "untwisted.virasoro-bracket",
         ("[L(m),L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c",),
         win.render(),
         "pass",

@@ -15,10 +15,12 @@ The series kernel underneath every identity check in this package:
   subclass `fermion.VecSeries`, whose terms have phi-degree 0): anything with
   `+`, `-`, unary `-`, `is_zero()`, multiplication by a scalar and `render()`;
 * infinite objects (delta functions, binomial tails, exp/log/inverse series)
-  are truncated once at construction with the truncation recorded in `meta`;
-  all subsequent arithmetic is exact on the finite objects, and every
-  identity check compares coefficients only inside a window that the caller
-  derived from those truncation orders.
+  are truncated once at construction, at orders the caller chooses; all
+  subsequent arithmetic is exact on the finite objects, and every identity
+  check compares coefficients only inside a window that the caller derived
+  from those truncation orders;
+* every exponential, logarithm, binomial power, series inverse and flow
+  exponential is one truncated power sum, `power_sum`.
 
 The formal delta function is delta(Y) = sum_{n in Z} Y^n.  Binomials
 (a - b)^r are always expanded in nonnegative integer powers of the second
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from operator import add, attrgetter
 
 from .exactnum import Scalar, ScalarRing
@@ -78,12 +80,12 @@ def gbinom(r: Fraction, j: int) -> Fraction:
 
 
 class FracSeries:
-    __slots__ = ("ring", "vars", "terms", "meta")
+    __slots__ = ("ring", "vars", "terms")
 
     # ring -> the zero coefficient, for keys a series does not hold
     zero_coefficient = attrgetter("zero")
 
-    def __init__(self, ring: ScalarRing, vars, terms=None, meta: str = ""):
+    def __init__(self, ring: ScalarRing, vars, terms=None):
         """Normalise outside input: sort vars, make exponents `Fraction`s,
         lift int/Fraction coefficients into the ring and drop zeros."""
         vars = tuple(vars)
@@ -96,14 +98,14 @@ class FracSeries:
             if not c.is_zero():
                 exps = [exps[i] for i in perm]
                 clean[(tuple(e if type(e) is Fraction else Fraction(e) for e in exps), phi)] = c
-        self.ring, self.vars, self.terms, self.meta = ring, order, clean, meta
+        self.ring, self.vars, self.terms = ring, order, clean
 
     @classmethod
-    def _of(cls, ring: ScalarRing, vars: tuple, terms: dict, meta: str = "") -> "FracSeries":
+    def _of(cls, ring: ScalarRing, vars: tuple, terms: dict) -> "FracSeries":
         """Wrap terms that are already canonical (see the module docstring).
         Called on a series, it keeps that series' class."""
         s = object.__new__(cls)
-        s.ring, s.vars, s.terms, s.meta = ring, vars, terms, meta
+        s.ring, s.vars, s.terms = ring, vars, terms
         return s
 
     # -- constructors ---------------------------------------------------------
@@ -152,7 +154,7 @@ class FracSeries:
         allvars = tuple(sorted(set(self.vars) | set(vars)))
         if allvars == self.vars:
             return self
-        return self._of(self.ring, allvars, self._terms_over(allvars), self.meta)
+        return self._of(self.ring, allvars, self._terms_over(allvars))
 
     def add_term(self, exps, c) -> None:
         """Add c * prod v^exps (exps aligned with vars, phi-degree 0) in place."""
@@ -189,7 +191,7 @@ class FracSeries:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return self._of(self.ring, allvars, out, self.meta or other.meta)
+        return self._of(self.ring, allvars, out)
 
     def __add__(self, other: "FracSeries") -> "FracSeries":
         return self._merge(other, False)
@@ -198,7 +200,7 @@ class FracSeries:
         return self._merge(other, True)
 
     def __neg__(self) -> "FracSeries":
-        return self._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.meta)
+        return self._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -216,7 +218,7 @@ class FracSeries:
                 acc[key] = c1 * c2 if cur is None else cur + c1 * c2
         out = {(tuple(Fraction(x, den) for x in e), phi): c
                for (e, phi), c in acc.items() if not c.is_zero()}
-        return self._of(self.ring, allvars, out, self.meta or other.meta)
+        return self._of(self.ring, allvars, out)
 
     __rmul__ = __mul__
 
@@ -225,7 +227,7 @@ class FracSeries:
             c = self.ring.rational(c)
         # a product of nonzero scalars can vanish: the ring has zero divisors at k = 5
         terms = {key: p for key, v in self.terms.items() if not (p := v * c).is_zero()}
-        return self._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms)
 
     # -- extraction -------------------------------------------------------------
 
@@ -250,7 +252,7 @@ class FracSeries:
             (exps[:i] + exps[i + 1 :], phi): c
             for (exps, phi), c in self.terms.items() if exps[i] == e
         }
-        return self._of(self.ring, rest, out, self.meta)
+        return self._of(self.ring, rest, out)
 
     def residue(self, var: str) -> "FracSeries":
         """Res_var: the coefficient series of var^(-1)."""
@@ -264,17 +266,17 @@ class FracSeries:
 
     def phi_part(self, phi: int) -> "FracSeries":
         terms = {key: c for key, c in self.terms.items() if key[1] == phi}
-        return self._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms)
 
     def strip_phi(self) -> "FracSeries":
         """Divide the phi-linear part by phi (phi-degree 1 terms become degree 0)."""
         terms = {(exps, 0): c for (exps, phi), c in self.terms.items() if phi == 1}
-        return self._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms)
 
     def times_phi(self) -> "FracSeries":
         """Multiply by phi on the left (kills existing phi-degree-1 terms)."""
         terms = {(exps, 1): c for (exps, phi), c in self.terms.items() if phi == 0}
-        return self._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -287,7 +289,7 @@ class FracSeries:
             (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], phi): c * exps[i]
             for (exps, phi), c in self.terms.items() if exps[i] != 0
         }
-        return self._of(self.ring, self.vars, out, self.meta)
+        return self._of(self.ring, self.vars, out)
 
     # -- substitutions -------------------------------------------------------------
 
@@ -308,7 +310,7 @@ class FracSeries:
             (exps[:i] + (exps[i] * factor,) + exps[i + 1 :], phi): c
             for (exps, phi), c in self.terms.items()
         }
-        return self._of(self.ring, self.vars, terms, self.meta)
+        return self._of(self.ring, self.vars, terms)
 
     def shift_exponents(self, var: str, delta) -> "FracSeries":
         """Multiply by var^delta."""
@@ -319,7 +321,7 @@ class FracSeries:
             (exps[:i] + (exps[i] + delta,) + exps[i + 1 :], phi): c
             for (exps, phi), c in s.terms.items()
         }
-        return s._of(s.ring, s.vars, terms, s.meta)
+        return s._of(s.ring, s.vars, terms)
 
     def eta_twist(self, var: str, j: int) -> "FracSeries":
         """The substitution var^(1/k) -> eta^j var^(1/k) for the ring's k.
@@ -339,7 +341,7 @@ class FracSeries:
                     f"exponent {exps[i]} of {var} is off the (1/{k})Z lattice"
                 )
             out[(exps, phi)] = c * self.ring.eta(j * int(km))
-        return self._of(self.ring, self.vars, out, self.meta)
+        return self._of(self.ring, self.vars, out)
 
     def truncate(self, var: str, max_exp, min_exp=None) -> "FracSeries":
         """Drop terms with var-exponent above max_exp (or below min_exp)."""
@@ -352,8 +354,7 @@ class FracSeries:
             key: c for key, c in self.terms.items()
             if key[0][i] <= max_exp and (lo is None or key[0][i] >= lo)
         }
-        meta = f"{self.meta};trunc {var}<= {max_exp}" if self.meta else f"trunc {var}<={max_exp}"
-        return self._of(self.ring, self.vars, out, meta)
+        return self._of(self.ring, self.vars, out)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
         """Substitute a whole series for var.  Only integer powers of var are
@@ -361,10 +362,12 @@ class FracSeries:
         choice); negative powers go through series inversion, which requires a
         unique invertible leading monomial in trunc_var.
 
-        The result is truncated at trunc_order in trunc_var after every
-        partial product, which is sound when repl has strictly positive
-        trunc_var-order (asserted for the inverse path).  Each power is the
-        nearest power already built times repl (or its inverse), truncated.
+        Each power is the nearest power already built times repl (or its
+        inverse), truncated.  Positive powers are truncated at trunc_order,
+        which is sound when repl has strictly positive trunc_var-order d.  The
+        inverse has order -d, so it is built, and the negative powers are
+        chained, through trunc_order + |e| d for the most negative power e:
+        then every power still holds each term through trunc_order.
         """
         if var not in self.vars:
             return self
@@ -380,18 +383,22 @@ class FracSeries:
                 )
             groups.setdefault(int(e), {})[(exps[:i] + exps[i + 1 :], phi)] = c
         powers = {0: FracSeries.one(self.ring)}
-        base = {1: repl}
+        # step -> (repl or its inverse, the depth its powers are chained at)
+        base = {1: (repl, trunc_order)}
         out = FracSeries.zero(self.ring, ())
         for e, terms in sorted(groups.items()):
             if e not in powers:
                 step = 1 if e > 0 else -1
                 if step not in base:
-                    base[step] = invert_series(repl, trunc_var, trunc_order)
+                    d = min(repl.exponents_of(trunc_var), default=0)
+                    deep = Fraction(trunc_order) - min(groups) * max(d, 0)
+                    base[step] = (invert_series(repl, trunc_var, deep), deep)
+                factor, depth = base[step]
                 near = e - step
                 while near not in powers:
                     near -= step
                 for m in range(near + step, e + step, step):
-                    powers[m] = (powers[m - step] * base[step]).truncate(trunc_var, trunc_order)
+                    powers[m] = (powers[m - step] * factor).truncate(trunc_var, depth)
             out = out + FracSeries._of(self.ring, rest, terms) * powers[e]
         return out.truncate(trunc_var, trunc_order)
 
@@ -407,19 +414,6 @@ class FracSeries:
                 bits.append("...")
                 break
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        """Canonical JSON rendering: sorted exponent vectors, scalar text."""
-        out = []
-        for (exps, phi), c in sorted(self.terms.items()):
-            entry = {
-                "exps": {v: str(e) for v, e in zip(self.vars, exps) if e != 0},
-                "coeff": c.render(),
-            }
-            if phi:
-                entry["phi"] = 1
-            out.append(entry)
-        return out
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.render(max_terms=6)}>"
@@ -442,6 +436,44 @@ def leading_term(s: FracSeries, var: str):
     return hits[0], s.terms[hits[0]]
 
 
+def power_sum(seed, step, coeff, limit: int):
+    """sum_{j>=0} coeff(j) * step^j(seed), stopping at the first power that is zero.
+
+    seed and the powers may be anything with is_zero(), + and * by a rational
+    (a FracSeries, a Vec).  Raises RuntimeError when limit applications of
+    step have not reached zero.
+    """
+    c0 = coeff(0)
+    out = seed if c0 == 1 else seed * c0
+    acc = seed
+    for j in range(1, limit + 1):
+        acc = step(acc)
+        if acc.is_zero():
+            return out
+        out = out + acc * coeff(j)
+    raise RuntimeError(f"truncated power sum not exhausted after {limit} steps")
+
+
+def inverse_factorial(j: int) -> Fraction:
+    """1/j!: the coefficients of an exponential as a power sum."""
+    return Fraction(1, factorial(j))
+
+
+def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str) -> FracSeries:
+    """sum_j coeff(j) r^j truncated above trunc_var^trunc_order, for r of
+    strictly positive trunc_var-order emin: r^j vanishes once j*emin exceeds
+    trunc_order, so the sum always ends within its limit."""
+    limit = 1
+    if not r.is_zero():
+        i = r.vars.index(trunc_var)
+        emin = min(key[0][i] for key in r.terms)
+        if emin <= 0:
+            raise CompositionDomainError(f"{name} needs a tail of positive {trunc_var}-order")
+        limit = int(Fraction(trunc_order) / emin) + 1
+    return power_sum(FracSeries.one(r.ring), lambda acc: (acc * r).truncate(trunc_var, trunc_order),
+                     coeff, limit)
+
+
 def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
     """1/s for s with a unique invertible leading monomial in trunc_var."""
     (lexps, lphi), lcoeff = leading_term(s, trunc_var)
@@ -451,90 +483,26 @@ def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
         s.ring, s.vars, {(tuple(-e for e in lexps), 0): lcoeff.invert()}
     )
     r = lead_inv * s - FracSeries.one(s.ring)
-    return lead_inv * _geometric(r, trunc_var, trunc_order)
-
-
-def _geometric(r: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
-    """sum (-r)^i for r of strictly positive trunc_var-order."""
-    if r.is_zero():
-        return FracSeries.one(r.ring)
-    i = r.vars.index(trunc_var)
-    emin = min(key[0][i] for key in r.terms)
-    if emin <= 0:
-        raise CompositionDomainError("inverse tail must have positive order")
-    steps = int(Fraction(trunc_order) / emin) + 1
-    out = FracSeries.one(r.ring)
-    acc = FracSeries.one(r.ring)
-    for _ in range(steps):
-        acc = (acc * (-r)).truncate(trunc_var, trunc_order)
-        if acc.is_zero():
-            break
-        out = out + acc
-    return out
+    return lead_inv * _tail_power_sum(r, lambda j: (-1) ** j, trunc_var, trunc_order, "invert_series")
 
 
 def unit_pow(s: FracSeries, e, trunc_var: str, trunc_order) -> FracSeries:
     """s^e for s = 1 + r with r of positive trunc_var-order; e may be fractional."""
     e = Fraction(e)
-    one = FracSeries.one(s.ring)
-    r = s - one.with_vars(s.vars)
-    if r.is_zero():
-        return one
-    i = r.vars.index(trunc_var)
-    emin = min(key[0][i] for key in r.terms)
-    if emin <= 0:
-        raise CompositionDomainError("unit_pow needs s = 1 + (positive-order tail)")
-    steps = int(Fraction(trunc_order) / emin) + 1
-    out = one
-    acc = one
-    for j in range(1, steps + 1):
-        acc = (acc * r).truncate(trunc_var, trunc_order)
-        if acc.is_zero():
-            break
-        out = out + acc * gbinom(e, j)
-    return out
+    r = s - FracSeries.one(s.ring).with_vars(s.vars)
+    return _tail_power_sum(r, lambda j: gbinom(e, j), trunc_var, trunc_order, "unit_pow")
 
 
 def log_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
     """log(1 + r) for s = 1 + r of positive trunc_var-order."""
-    one = FracSeries.one(s.ring)
-    r = s - one.with_vars(s.vars)
-    if r.is_zero():
-        return FracSeries.zero(s.ring)
-    i = r.vars.index(trunc_var)
-    emin = min(key[0][i] for key in r.terms)
-    if emin <= 0:
-        raise CompositionDomainError("log_series needs 1 + (positive-order tail)")
-    steps = int(Fraction(trunc_order) / emin) + 1
-    out = FracSeries.zero(s.ring)
-    acc = one
-    for j in range(1, steps + 1):
-        acc = (acc * r).truncate(trunc_var, trunc_order)
-        if acc.is_zero():
-            break
-        out = out + acc * Fraction((-1) ** (j + 1), j)
-    return out
+    r = s - FracSeries.one(s.ring).with_vars(s.vars)
+    return _tail_power_sum(r, lambda j: Fraction((-1) ** (j + 1), j) if j else 0,
+                           trunc_var, trunc_order, "log_series")
 
 
 def exp_series(r: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
     """exp(r) for r of strictly positive trunc_var-order."""
-    if r.is_zero():
-        return FracSeries.one(r.ring)
-    i = r.vars.index(trunc_var)
-    emin = min(key[0][i] for key in r.terms)
-    if emin <= 0:
-        raise CompositionDomainError("exp_series needs positive-order argument")
-    steps = int(Fraction(trunc_order) / emin) + 1
-    out = FracSeries.one(r.ring)
-    acc = FracSeries.one(r.ring)
-    fact = Fraction(1)
-    for j in range(1, steps + 1):
-        acc = (acc * r).truncate(trunc_var, trunc_order)
-        fact = fact / j
-        if acc.is_zero():
-            break
-        out = out + acc * fact
-    return out
+    return _tail_power_sum(r, inverse_factorial, trunc_var, trunc_order, "exp_series")
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +539,7 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
             terms[key] = c if cur is None else cur + c
         tpow = tpow * tc
     terms = {key: c for key, c in terms.items() if not c.is_zero()}
-    return FracSeries._of(ring, vars_, terms, meta=f"binom order<={order}")
+    return FracSeries._of(ring, vars_, terms)
 
 
 def delta_truncated(
@@ -629,9 +597,7 @@ def delta_truncated(
     out = FracSeries._of(ring, vars_, acc)
     for v, x in pexps.items():
         out = out.shift_exponents(v, x)
-    out = out.scale(pc)
-    out.meta = f"delta trunc n in {n_range}, tail<={tail_order}"
-    return out
+    return out.scale(pc)
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,7 @@ def char_twisted(k: int, cutoff, *, anomaly: bool = True, a_override=None) -> QS
 # ---------------------------------------------------------------------------
 
 
-def corollary_check(k: int, cutoff=2, *, a_override=None,
-                    identity: str = "character.twisted-vs-substitution") -> CheckReport:
+def corollary_check(k: int, cutoff=2, *, a_override=None) -> CheckReport:
     """Both normalizations of the twisted character identity on one window.
 
     anomaly form:  tr_T q^(L^g(0) - kc/24) == tr_M q^(L(0) - c/24) at q^(1/k)
@@ -208,7 +207,7 @@ def corollary_check(k: int, cutoff=2, *, a_override=None,
         # a spectrum that leaves the 1/48k lattice (or stops being diagonal)
         # cannot match any substitution character
         return CheckReport(
-            identity, anchors, win.render(), "fail",
+            "character.twisted-vs-substitution", anchors, win.render(), "fail",
             first_mismatch=f"twisted spectrum unusable: {exc}", k=k,
         )
     rhs = char_plain(k * cutoff).subs_root(k)
@@ -217,15 +216,14 @@ def corollary_check(k: int, cutoff=2, *, a_override=None,
     ok2, witness2 = qseries_equal(lhs_bare, rhs_bare)
     status = "pass" if ok1 and ok2 else "fail"
     return CheckReport(
-        identity, anchors, win.render(), status,
+        "character.twisted-vs-substitution", anchors, win.render(), status,
         first_mismatch=witness1 or witness2,
         detail=f"twisted character starts {lhs.render(3)}" if status == "pass" else None,
         k=k,
     )
 
 
-def tensor_power_check(k: int, cutoff=2, *,
-                       identity: str = "character.tensor-power") -> CheckReport:
+def tensor_power_check(k: int, cutoff=2) -> CheckReport:
     """The untwisted tensor-power character is the k-th power of the plain one
     (basis census on one side, exact series arithmetic on the other)."""
     cutoff = Fr(cutoff)
@@ -235,7 +233,7 @@ def tensor_power_check(k: int, cutoff=2, *,
     rhs = char_plain(cutoff + Fr(k, 48) + 1).power(k)
     ok, witness = qseries_equal(lhs, rhs)
     return CheckReport(
-        identity, ("tensor-power census == (single-factor character)^k",),
+        "character.tensor-power", ("tensor-power census == (single-factor character)^k",),
         Window.of(q=(Fr(-k, 48), cutoff)).render(),
         "pass" if ok else "fail",
         first_mismatch=witness, k=k,

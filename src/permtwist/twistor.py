@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
+from functools import partial
 
 from .changeofvars import a_table
 from .exactnum import ScalarRing, get_ring
@@ -55,6 +56,8 @@ from .fseries import (
     Window,
     binom_expand,
     gbinom,
+    inverse_factorial,
+    power_sum,
     unit_pow,
 )
 
@@ -115,10 +118,10 @@ class ObstructionError(Exception):
 
 
 def _weight_split(u: Vec) -> list[tuple[Fr, Vec]]:
+    """The homogeneous components of u, by ascending weight."""
     comps: dict[Fr, Vec] = {}
     for key, c in u.terms.items():
-        w = key_weight(key)
-        comps.setdefault(w, Vec(u.ring)).accumulate(((key, c),), u.ring.one)
+        comps.setdefault(key_weight(key), Vec(u.ring)).terms[key] = c
     return sorted(comps.items())
 
 
@@ -130,73 +133,55 @@ def _a_coeffs(k: int, depth: int, a_override) -> tuple[Fr, ...]:
     return (over + base[len(over):])[: len(base)]
 
 
-def _exp_flow(u: Vec, sign: int, a: tuple[Fr, ...]) -> dict[int, Vec]:
-    """Weight-drop buckets of exp(sign * sum_j a_j L(j)) u for homogeneous u.
-
-    Each L(j) lowers the weight by j >= 1, so the flow terminates after at
-    most floor(wt u) steps; bucket J collects the total-drop-J part (which
-    multiplies x^{-J/k} in the dressing).
-    """
-    depth = int(u.max_weight())
-    buckets: dict[int, Vec] = {}
-    term: dict[int, Vec] = {0: u}
-    m = 0
-    while term:
-        for J, vec in term.items():
-            cur = buckets.get(J)
-            buckets[J] = vec if cur is None else cur + vec
-        m += 1
-        if m > depth:
-            break
-        new: dict[int, Vec] = {}
-        for J, vec in term.items():
-            for j in range(1, depth - J + 1):
-                res = virasoro_mode(j, vec)
-                if res.is_zero():
-                    continue
-                res = res.scale(Fr(sign) * a[j - 1] / m)
-                cur = new.get(J + j)
-                new[J + j] = res if cur is None else cur + res
-        term = {J: vec for J, vec in new.items() if not vec.is_zero()}
-    return {J: vec for J, vec in buckets.items() if not vec.is_zero()}
+def _flow_step(c: list, vec: Vec) -> Vec:
+    """sum_j c[j-1] L(j) vec.  L(j) lowers the weight by j, so j runs only up
+    to the maximum weight of vec."""
+    out = Vec(vec.ring)
+    for j, cj in enumerate(c[: int(vec.max_weight())], start=1):
+        if not cj.is_zero():
+            out.accumulate(virasoro_mode(j, vec).terms.items(), cj)
+    return out
 
 
 def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None) -> VecSeries:
     """The dressing operator D(x) (or its inverse) applied to u.
 
-    Forward, on a weight-p component: scalar k^{-p} first, then the
-    exponential flow; bucket J lands at x^{(p-J)/k - p}.  Inverse: the flow
-    with opposite sign first, then the scalar k^{p-J} on the weight-(p-J)
-    result, at x^{p - p/k - J}.  The two compose to the identity.
+    On a weight-p component the flow exp(sign * sum_j a_j L(j)) is one power
+    sum; it lowers the weight by the total drop J, so its weight-q part is the
+    J = p - q bucket.  Forward: scalar k^{-p}, the part lands at x^{q/k - p}.
+    Inverse: the flow with opposite sign, then the scalar k^q, at x^{q - p/k}.
+    The two compose to the identity.
     """
     ring = u.ring
     k = ring.k
+    sign = -1 if invert else 1
     out = VecSeries(ring, (var,))
     for p, comp in _weight_split(u):
-        a = _a_coeffs(k, int(p), a_override)
-        buckets = _exp_flow(comp, -1 if invert else 1, a)
-        for J, vec in buckets.items():
+        depth = int(p)
+        c = [ring.rational(sign * a) for a in _a_coeffs(k, depth, a_override)[:depth]]
+        # the flow ends after at most depth weight-lowering steps
+        flowed = power_sum(comp, partial(_flow_step, c), inverse_factorial, depth + 1)
+        for q, vec in reversed(_weight_split(flowed)):
             if invert:
-                out.add_term((p - Fr(p, k) - J,), vec * ring.sqrt_k_pow(int(2 * (p - J))))
+                out.add_term((q - Fr(p, k),), vec * ring.sqrt_k_pow(int(2 * q)))
             else:
-                out.add_term((Fr(p - J, k) - p,), vec * ring.sqrt_k_pow(int(-2 * p)))
+                out.add_term((q / k - p,), vec * ring.sqrt_k_pow(int(-2 * p)))
     return out
 
 
-def delta_roundtrip_check(u: Vec, *, var: str = "x",
-                          identity: str = "twisted.dressing-roundtrip") -> CheckReport:
+def delta_roundtrip_check(u: Vec) -> CheckReport:
     """D(x)^{-1} D(x) u == u, combining the exponent bookkeeping of both passes."""
     ring = u.ring
-    back = VecSeries(ring, (var,))
-    for e, vec in delta_apply(u, var=var).by_exponent():
-        for e2, vec2 in delta_apply(vec, invert=True, var=var).by_exponent():
+    back = VecSeries(ring, ("x",))
+    for e, vec in delta_apply(u).by_exponent():
+        for e2, vec2 in delta_apply(vec, invert=True).by_exponent():
             back.add_term((e + e2,), vec2)
-    want = VecSeries(ring, (var,))
+    want = VecSeries(ring, ("x",))
     want.add_term((Fr(0),), u)
-    exps = back.exponents_of(var) | {Fr(0)}
-    win = Window.of(**{var: (min(exps), max(exps))})
+    exps = back.exponents_of("x") | {Fr(0)}
+    win = Window.of(x=(min(exps), max(exps)))
     return vec_equal_on_window(
-        back, want, win, identity,
+        back, want, win, "twisted.dressing-roundtrip",
         anchors=("D(x)^-1 D(x) u == u",), k=ring.k,
     )
 
@@ -216,7 +201,7 @@ def twisted_floor(u: Vec, target: Vec) -> Fr:
     return Fr(0) if lo is None else lo
 
 
-def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x", a_override=None) -> VecSeries:
+def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
     """The slot-1 twisted field Ybar(u, x) target = Y(D(x)u, x^{1/k}) target.
 
     Complete on the window: every coefficient with var-exponent inside the
@@ -229,7 +214,7 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x", a_override=None
         raise ValueError(f"window must bound {var}")
     lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
     out = VecSeries(ring, (var,))
-    for e, uJ in delta_apply(u, a_override=a_override).by_exponent():
+    for e, uJ in delta_apply(u).by_exponent():
         f_lo = max(math.ceil(k * (lo - e)), min_exponent(uJ, target))
         f_hi = math.floor(k * (hi - e))
         for f in range(f_lo, f_hi + 1):
@@ -237,12 +222,11 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x", a_override=None
     return out
 
 
-def twisted_field(u: Vec, slot: int, target: Vec, window: Window, *,
-                  var: str = "x", a_override=None) -> VecSeries:
+def twisted_field(u: Vec, slot: int, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
     """The twisted field of u embedded in the given slot (1-indexed): the
     slot-1 field advanced by slot - 1 slots, which is the substitution
     x^{1/k} -> eta^{slot-1} x^{1/k}."""
-    base = ybar(u, target, window, var=var, a_override=a_override)
+    base = ybar(u, target, window, var=var)
     return base.eta_twist(var, slot - 1)
 
 
@@ -259,17 +243,16 @@ def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSerie
     return out
 
 
-def lminus1_check(u: Vec, target: Vec, *, hi=2, var: str = "x",
-                  identity: str = "twisted.l-minus-one") -> CheckReport:
+def lminus1_check(u: Vec, target: Vec, *, hi=2) -> CheckReport:
     """Ybar(L(-1)u, x) target == d/dx Ybar(u, x) target on a window."""
     ring = target.ring
     lo = min(twisted_floor(virasoro_mode(-1, u), target), twisted_floor(u, target) - 1)
-    win = Window.of(**{var: (lo, Fr(hi))})
-    lhs = ybar(virasoro_mode(-1, u), target, win, var=var)
-    rhs = ybar(u, target, Window.of(**{var: (lo, Fr(hi) + 1)}), var=var)
-    rhs = rhs.derivative(var).truncate_window(win)
+    win = Window.of(x=(lo, Fr(hi)))
+    lhs = ybar(virasoro_mode(-1, u), target, win)
+    rhs = ybar(u, target, Window.of(x=(lo, Fr(hi) + 1)))
+    rhs = rhs.derivative("x").truncate_window(win)
     return vec_equal_on_window(
-        lhs, rhs, win, identity,
+        lhs, rhs, win, "twisted.l-minus-one",
         anchors=("Ybar(L(-1)u, x) == d/dx Ybar(u, x)",), k=ring.k,
     )
 
@@ -330,8 +313,7 @@ def twisted_mode(u: Vec, m, *, a_override=None) -> ModeAction:
     return ModeAction(k, m, tuple(terms))
 
 
-def mode_vs_field_check(u: Vec, m, w: Vec, *,
-                        identity: str = "twisted.mode-vs-field") -> CheckReport:
+def mode_vs_field_check(u: Vec, m, w: Vec) -> CheckReport:
     """Tabulated mode action == coefficient extraction from the field series."""
     ring = w.ring
     m = Fr(m)
@@ -343,7 +325,7 @@ def mode_vs_field_check(u: Vec, m, w: Vec, *,
     if status == "fail":
         mismatch = f"at x^{-m - 1}: {direct.render()} != {got.render()}"
     return CheckReport(
-        identity,
+        "twisted.mode-vs-field",
         ("twisted mode at index m == coefficient of x^(-m-1) in Ybar(u,x)w",),
         win.render(),
         status,
@@ -352,8 +334,7 @@ def mode_vs_field_check(u: Vec, m, w: Vec, *,
     )
 
 
-def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2,
-                       identity: str = "twisted.mode-grading") -> CheckReport:
+def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2) -> CheckReport:
     """Twisted generator modes shift the plain weight by k(wt u - m - 1) and
     the parity by the state's parity, on every basis state under the cutoff.
 
@@ -377,7 +358,7 @@ def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2,
                 expect = wwt + k * (p - m - 1)
                 if res.weight() != expect or res.parity() != (wpar + par) % 2:
                     return CheckReport(
-                        identity,
+                        "twisted.mode-grading",
                         ("u^g_m maps weight n to weight n + k(wt u - m - 1), parity + |u|",),
                         window.render(),
                         "fail",
@@ -385,7 +366,7 @@ def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2,
                         k=k,
                     )
     return CheckReport(
-        identity,
+        "twisted.mode-grading",
         ("u^g_m maps weight n to weight n + k(wt u - m - 1), parity + |u|",),
         window.render(),
         "pass",
@@ -394,7 +375,7 @@ def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2,
     )
 
 
-def lg0_check(k: int, *, max_weight=3, identity: str = "twisted.grading-operator") -> CheckReport:
+def lg0_check(k: int, *, max_weight=3) -> CheckReport:
     """k times the slot-1 conformal mode at index 1 acts as L(0)/k + (k^2-1)/48k.
 
     At the integer exponent -2 every slot phase is trivial, so the slot-summed
@@ -411,7 +392,7 @@ def lg0_check(k: int, *, max_weight=3, identity: str = "twisted.grading-operator
         want = w.scale(Fr(key_weight(key)) / k + shift)
         if got != want:
             return CheckReport(
-                identity,
+                "twisted.grading-operator",
                 ("k * (omega slot-1 twisted mode at 1) == L(0)/k + (k^2-1)/48k",),
                 win.render(),
                 "fail",
@@ -419,7 +400,7 @@ def lg0_check(k: int, *, max_weight=3, identity: str = "twisted.grading-operator
                 k=k,
             )
     return CheckReport(
-        identity,
+        "twisted.grading-operator",
         ("k * (omega slot-1 twisted mode at 1) == L(0)/k + (k^2-1)/48k",),
         win.render(),
         "pass",
@@ -458,8 +439,7 @@ def _root_diff_pow(ring: ScalarRing, e: int, z0_hi: int) -> FracSeries:
     return (powed * lead_pow).truncate("z0", z0_hi)
 
 
-def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None,
-                      identity: str = "twisted.conjugation") -> CheckReport:
+def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> CheckReport:
     """The dressing moves a plain vertex operator to the composed insertion:
 
       D(z) Y(u, z0) D(z)^{-1} v == sum_E (z+z0)^E Y(u_E, (z+z0)^{1/k} - z^{1/k}) v
@@ -499,7 +479,7 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None,
             rhs = rhs + lift.mul_series(fs)
     win = Window.of(z0=(d_lo, z0_hi))  # z unconstrained: exact per z0-degree
     return vec_equal_on_window(
-        lhs, rhs, win, identity,
+        lhs, rhs, win, "twisted.conjugation",
         anchors=(
             "D(z) Y(u,z0) D(z)^-1 v == sum_E (z+z0)^E Y((D(z+z0)u)_E, (z+z0)^(1/k) - z^(1/k)) v",
         ),
@@ -542,8 +522,7 @@ def _bracket_check(apply_field, u: Vec, v: Vec, w: Vec, box: Window, *,
 
 
 def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
-                          drop_factor: bool = False,
-                          identity: str = "twisted.supercommutator") -> CheckReport:
+                          drop_factor: bool = False) -> CheckReport:
     """[Ybar(u,x1), Ybar(v,x2)] w against the fractional residue pairing.
 
     The iterate side carries the dressing ((x1-x0)/x2)^beta with
@@ -560,7 +539,7 @@ def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
     tag = "no dressing" if drop_factor else f"dressing exponent beta={beta}"
     return _bracket_check(
         apply_field=field, u=u, v=v, w=w, box=box, offset=beta, den=k,
-        rhs_scale=Fr(1, k), identity=identity,
+        rhs_scale=Fr(1, k), identity="twisted.supercommutator",
         anchors=(
             "[Ybar(u,x1),Ybar(v,x2)]w == (1/k) Res_x0 x2^-1 d((x1-x0)^(1/k)/x2^(1/k))"
             " ((x1-x0)/x2)^(|u|(1-k)/2k) Ybar(Y(u,x0)v,x2)w [" + tag + "]",
@@ -569,9 +548,7 @@ def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
     )
 
 
-def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
-                                   identity: str = "twisted.supercommutator-factor-needed",
-                                   ) -> CheckReport:
+def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None) -> CheckReport:
     """The bracket dressing is load-bearing where it is fractional: with it the
     bracket identity holds, with it omitted the two sides provably differ.
     Passes when the dressed check passes and the undressed one fails, and
@@ -581,7 +558,7 @@ def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = 
     beta = Fr(u.parity() * (1 - k), 2 * k)
     if (k * beta).denominator == 1:
         return CheckReport(
-            identity, ("dressed bracket passes AND undressed bracket fails",),
+            "twisted.supercommutator-factor-needed", ("dressed bracket passes AND undressed bracket fails",),
             (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), "fail",
             detail=f"beta={beta} is on the (1/{k})Z lattice: nothing to witness",
             k=k,
@@ -590,7 +567,7 @@ def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = 
     undressed = supercommutator_check(u, v, w, box, drop_factor=True)
     ok = dressed.status == "pass" and undressed.status == "fail"
     return CheckReport(
-        identity,
+        "twisted.supercommutator-factor-needed",
         ("dressed bracket passes AND undressed bracket fails",),
         dressed.window,
         "pass" if ok else "fail",
@@ -735,8 +712,7 @@ def twisted_iterate(u: Vec, su: int, v: Vec, sv: int, w: Vec,
 
 
 def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
-                           x0_range=(-3, 1), x2_range=(-1, 1),
-                           identity: str = "twisted.iterate-vs-modes") -> CheckReport:
+                           x0_range=(-3, 1), x2_range=(-1, 1)) -> CheckReport:
     """Same-slot iterate == the mode-by-mode sum over plain products:
 
       Yg(Y(u^s, x0) v^s, x2) w == sum_{e0} x0^{e0} Yg((u_{-e0-1} v)^s, x2) w
@@ -745,7 +721,7 @@ def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
     want = iterate_modesum(_slot_field(slot), u, v, w, x0_range, x2_range)
     box = Window.of(x0=x0_range, x2=x2_range)
     return vec_equal_on_window(
-        got, want, box, identity,
+        got, want, box, "twisted.iterate-vs-modes",
         anchors=("Yg(Y(u^s,x0)v^s,x2)w == sum_e0 x0^e0 Yg((u_(-e0-1)v)^s,x2)w",),
         k=w.ring.k,
     )
@@ -757,8 +733,7 @@ def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
 
 
 def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
-                         box: Window | None = None, *,
-                         identity: str = "twisted.jacobi") -> CheckReport:
+                         box: Window | None = None) -> CheckReport:
     """The full twisted Jacobi identity on one target, slots s1 and s2:
 
       x0^-1 d((x1-x2)/x0) Yg(u^s1,x1) Yg(v^s2,x2) w
@@ -809,7 +784,7 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
             phases=tuple(phase(j) for j in cross),
         )
     return vec_equal_on_window(
-        lhs, rhs, box, identity,
+        lhs, rhs, box, "twisted.jacobi",
         anchors=(
             "x0^-1 d((x1-x2)/x0) Yg(u^s1,x1)Yg(v^s2,x2)w"
             " - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Yg(v^s2,x2)Yg(u^s1,x1)w"
@@ -820,8 +795,7 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
 
 
 def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
-                               box: Window | None = None, *,
-                               identity: str = "twisted.jacobi-eigen") -> CheckReport:
+                               box: Window | None = None) -> CheckReport:
     """Jacobi in eigencomponent form: for the eta^r eigenvector
     A = (1/k) sum_i eta^{-ir} g^i u^1, the j-sum collapses to one delta with a
     fractional dressing:
@@ -855,7 +829,7 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
 
     rhs = iterate_side(ring, iterate_a, box, e0min, shift=Fr(-r, k))
     return vec_equal_on_window(
-        lhs, rhs, box, identity,
+        lhs, rhs, box, "twisted.jacobi-eigen",
         anchors=(
             "for A = (1/k) sum_i eta^(-ir) g^i u^1: two-sided delta products of"
             " Yg(A,x1), Yg(v^s2,x2) == x2^-1 ((x1-x0)/x2)^(-r/k) d((x1-x0)/x2)"
@@ -897,8 +871,7 @@ def untwist(u: Vec, w: Vec, window: Window, *, var: str = "x") -> VecSeries:
 
 
 def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
-                             offset: Fr | None = None,
-                             identity: str = "untwist.supercommutator") -> CheckReport:
+                             offset: Fr | None = None) -> CheckReport:
     """Bracket of two rebuilt plain fields against the residue pairing with a
     dressing exponent c:
 
@@ -919,7 +892,7 @@ def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, 
     field = lambda s, t, win, var: untwist(s, t, win, var=var)  # noqa: E731
     return _bracket_check(
         apply_field=field, u=u, v=v, w=w, box=box, offset=c, den=1,
-        rhs_scale=Fr(1), identity=identity,
+        rhs_scale=Fr(1), identity="untwist.supercommutator",
         anchors=(
             "[Y_M(u,x1),Y_M(v,x2)]w == Res_x0 x2^-1 d((x1-x0)/x2)"
             f" ((x1-x0)/x2)^({c}) Y_M(Y(u,x0)v,x2)w",
@@ -928,8 +901,7 @@ def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, 
     )
 
 
-def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
-                               identity: str = "untwist.even-branch-witness") -> CheckReport:
+def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None) -> CheckReport:
     """For even k and parity-odd u the rebuilt-bracket identity's factor
     ((x1-x0)/x2)^{|u|/2} is a genuine half-integer power.  A bracket of
     honest Laurent fields has integral x1-exponents, so it can never equal a
@@ -947,7 +919,7 @@ def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None
     gamma = Fr(par * (1 - k), 2)
     if gamma.denominator == 1:
         return CheckReport(
-            identity, ("integer-offset bracket holds AND half-integer-offset bracket fails",),
+            "untwist.even-branch-witness", ("integer-offset bracket holds AND half-integer-offset bracket fails",),
             (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), "fail",
             detail=f"branch exponent {gamma} is integral (k={k}, |u|={par}): nothing to witness",
             k=k,
@@ -957,7 +929,7 @@ def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None
     branch = untwist_commutator_check(u, v, w, box, offset=Fr(par, 2))
     ok = plain.status == "pass" and shifted.status == "pass" and branch.status == "fail"
     return CheckReport(
-        identity,
+        "untwist.even-branch-witness",
         ("integer-offset bracket holds AND half-integer-offset bracket fails",),
         plain.window,
         "pass" if ok else "fail",
@@ -971,22 +943,20 @@ def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None
     )
 
 
-def roundtrip_untwist_check(u: Vec, w: Vec, *, hi=3, var: str = "x",
-                            identity: str = "twisted.roundtrip-untwist") -> CheckReport:
+def roundtrip_untwist_check(u: Vec, w: Vec, *, hi=3) -> CheckReport:
     """Untwisting the twisted fields returns the original vertex operator:
     Y_M(u, x) w == Y(u, x) w on the window (the two dressings cancel)."""
     ring = w.ring
-    win = Window.of(**{var: (min_exponent(u, w), Fr(hi))})
-    got = untwist(u, w, win, var=var)
-    want = vertex_op(u, w, win, var=var)
+    win = Window.of(x=(min_exponent(u, w), Fr(hi)))
+    got = untwist(u, w, win)
+    want = vertex_op(u, w, win)
     return vec_equal_on_window(
-        got, want, win, identity,
+        got, want, win, "twisted.roundtrip-untwist",
         anchors=("Yg((D(x^k)^-1 u)^1, x^k) w == Y(u, x) w",), k=ring.k,
     )
 
 
-def roundtrip_retwist_check(u: Vec, m: int, w: Vec, *,
-                            identity: str = "twisted.roundtrip-retwist") -> CheckReport:
+def roundtrip_retwist_check(u: Vec, m: int, w: Vec) -> CheckReport:
     """Plain modes rebuilt from twisted modes of the inverse-dressed pieces:
 
       u_m w == sum_E (twisted mode of u[E] at (m+1)/k + E - 1) w
@@ -1003,7 +973,7 @@ def roundtrip_retwist_check(u: Vec, m: int, w: Vec, *,
     status = "pass" if got == want else "fail"
     mismatch = None if status == "pass" else f"{got.render()} != {want.render()}"
     return CheckReport(
-        identity,
+        "twisted.roundtrip-retwist",
         ("u_m == sum over inverse-dressing buckets of twisted modes at (m+1)/k + E - 1",),
         Window.of(m=(m, m)).render(),
         status,
@@ -1062,8 +1032,7 @@ def obstruction_report(k: int, u: Vec | None = None) -> CheckReport:
     )
 
 
-def invariant_subspace_scan(k: int, max_weight=Fr(5, 2), *,
-                            identity: str = "twisted.irreducible-scan") -> CheckReport:
+def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:
     """Desk-scale irreducibility proxy for the twisted module.
 
     Every generator Clifford mode is a twisted mode (psi_n is reached at
@@ -1084,7 +1053,7 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2), *,
             down = twisted_mode(psi, Fr(-2 * a - k - 1, 2 * k)).apply(down)
         if down.is_zero() or set(down.terms) != {()}:
             return CheckReport(
-                identity, ("every basis state reaches the vacuum and back",),
+                "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
                 win.render(), "fail",
                 first_mismatch=f"annihilation chain from {key} ended at {down.render()}",
                 k=k,
@@ -1094,13 +1063,13 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2), *,
             up = twisted_mode(psi, Fr(2 * a + 1 - k, 2 * k)).apply(up)
         if up.is_zero() or set(up.terms) != {key}:
             return CheckReport(
-                identity, ("every basis state reaches the vacuum and back",),
+                "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
                 win.render(), "fail",
                 first_mismatch=f"creation chain for {key} gave {up.render()}",
                 k=k,
             )
     return CheckReport(
-        identity, ("every basis state reaches the vacuum and back",),
+        "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
         win.render(), "pass",
         detail=f"basis through weight {Fr(max_weight)} connected to the vacuum both ways",
         k=k,

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 from operator import add
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from permtwist.exactnum import get_ring
@@ -24,6 +25,7 @@ from permtwist.fseries import (
     gbinom,
     invert_series,
     log_series,
+    power_sum,
     unit_pow,
 )
 
@@ -160,6 +162,20 @@ def test_substitute_polynomial():
     assert out.coefficient({"x": 3}) == R1.rational(2 + 1)
 
 
+def test_substitute_negative_powers_hold_the_whole_window():
+    # 1/(x + x^2) has x-order -1, so its powers need terms above x^4 before
+    # the last truncation: closed forms x^-n (1+x)^-n through x^4
+    repl = mono(R1, 1, {"x": 1}) + mono(R1, 1, {"x": 2})
+    inv1 = mono(R1, 1, {"y": -1}).substitute("y", repl, "x", 4)
+    inv2 = mono(R1, 1, {"y": -2}).substitute("y", repl, "x", 4)
+    for t in range(-1, 5):
+        assert inv1.coefficient({"x": t}) == R1.rational((-1) ** (t + 1))
+    for t in range(-2, 5):
+        assert inv2.coefficient({"x": t}) == R1.rational((-1) ** t * (t + 3))
+    assert inv1.exponents_of("x") == set(range(-1, 5))
+    assert inv2.exponents_of("x") == set(range(-2, 5))
+
+
 def test_substitute_chains_powers_like_the_per_power_loop():
     ring = get_ring(3)
     s = FracSeries.zero(ring)
@@ -169,13 +185,15 @@ def test_substitute_chains_powers_like_the_per_power_loop():
     repl = mono(ring, 1, {"x": 1}) + mono(ring, 2, {"x": 2}) + mono(ring, ring.eta(2), {"x": 3})
     order = 6
     got = s.substitute("y", repl, "x", order)
-    # every power built from one by |e| truncated products, as written out
-    inv = invert_series(repl, "x", order)
+    # every power built from one by |e| truncated products, as written out;
+    # 1/repl has x-order -1, so the inverse and its powers run 3 orders deeper
+    deep = order + 3
+    inv = invert_series(repl, "x", deep)
     want = FracSeries.zero(ring)
     for e in range(-3, 4):
         p = FracSeries.one(ring)
         for _ in range(abs(e)):
-            p = (p * (repl if e > 0 else inv)).truncate("x", order)
+            p = (p * (repl if e > 0 else inv)).truncate("x", order if e > 0 else deep)
         want = want + s.coefficient_in("y", e) * p
     assert not got.is_zero()
     assert got == want.truncate("x", order)
@@ -185,6 +203,60 @@ def test_substitute_rejects_fractional_powers():
     s = mono(R1, 1, {"y": Fr(1, 2)})
     with pytest.raises(CompositionDomainError):
         s.substitute("y", mono(R1, 1, {"x": 1}), "x", 4)
+
+
+def test_power_sum_raises_when_step_never_reaches_zero():
+    x = mono(R1, 1, {"x": 1})
+    with pytest.raises(RuntimeError):
+        power_sum(x, lambda acc: acc * 2, lambda j: 1, 5)
+    # a step that reaches zero at the limit is a finished sum
+    got = power_sum(x, lambda acc: (acc * x).truncate("x", 3), lambda j: j + 1, 3)
+    assert got == x + x * x * 2 + x * x * x * 3
+
+
+# -- an independent oracle for the power sums: sympy's series expansion -------
+
+_X = sympy.symbols("x")
+
+
+def _sympy_coefficient(expr, t: int) -> Fr:
+    c = sympy.Rational(sympy.expand(expr).coeff(_X, t))
+    return Fr(int(c.p), int(c.q))
+
+
+def _assert_matches_sympy(got: FracSeries, expr, lo: int, hi: int):
+    """got agrees with sympy's expansion of expr at x = 0 on x^lo..x^hi."""
+    want = sympy.series(expr, _X, 0, hi + 1).removeO()
+    for t in range(lo, hi + 1):
+        assert got.coefficient({"x": t}) == R1.rational(_sympy_coefficient(want, t)), (expr, t)
+
+
+_TAIL = st.dictionaries(
+    st.integers(1, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda q: q != 0),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_TAIL, st.integers(2, 5), st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(
+    lambda q: q != 0), st.integers(-1, 1))
+def test_power_sums_match_sympy_series(tail, order, lead, shift):
+    r = FracSeries.zero(R1)
+    for e, q in tail.items():
+        r = r + mono(R1, q, {"x": e})
+    r_sym = sum(sympy.Rational(q.numerator, q.denominator) * _X**e for e, q in tail.items())
+    one = FracSeries.one(R1)
+    _assert_matches_sympy(exp_series(r, "x", order), sympy.exp(r_sym), 0, order)
+    _assert_matches_sympy(log_series(one + r, "x", order), sympy.log(1 + r_sym), 0, order)
+    for e in (Fr(1, 2), Fr(-1, 3), Fr(2)):
+        _assert_matches_sympy(unit_pow(one + r, e, "x", order),
+                              (1 + r_sym) ** sympy.Rational(e.numerator, e.denominator), 0, order)
+    # 1/s for s = x^shift (lead + r): the inverse holds through x^(order - shift)
+    s = (r + mono(R1, lead, {})).shift_exponents("x", shift)
+    lead_sym = sympy.Rational(lead.numerator, lead.denominator)
+    _assert_matches_sympy(invert_series(s, "x", order),
+                          _X ** (-shift) / (lead_sym + r_sym), -shift, order - shift)
 
 
 def test_window_and_report():

@@ -106,8 +106,8 @@ def _maybe_scalar(s: FracSeries) -> Scalar | None:
     if not s.terms:
         return s.ring.zero
     if len(s.terms) == 1:
-        ((exps, phi), c), = s.terms.items()
-        if phi == 0 and all(e == 0 for e in exps):
+        (exps, c), = s.terms.items()
+        if all(e == 0 for e in exps):
             return c
     return None
 
@@ -115,9 +115,8 @@ def _maybe_scalar(s: FracSeries) -> Scalar | None:
 def _series_reciprocal(s: FracSeries, trunc):
     """1/s: monomial fast path, else invert_series on the trunc variable."""
     if len(s.terms) == 1:
-        ((exps, phi), c), = s.terms.items()
-        if phi == 0:
-            return FracSeries(s.ring, s.vars, {(tuple(-e for e in exps), 0): c.invert()})
+        (exps, c), = s.terms.items()
+        return FracSeries(s.ring, s.vars, {tuple(-e for e in exps): c.invert()})
     if trunc is None:
         raise CompositionDomainError("series-valued leading coefficient needs trunc=(var, order)")
     return invert_series(s, trunc[0], trunc[1])
@@ -159,7 +158,6 @@ def solve_exp_coeffs(
     sign: int,
     *,
     trunc=None,
-    want_sqrt: bool = True,
     collapse: bool = True,
 ) -> ExpCoeffs:
     """Solve f = exp(sign * sum_{j<=order} A_j var^{j+1} d/dvar) a0^{var d/dvar} var.
@@ -188,15 +186,13 @@ def solve_exp_coeffs(
             resid = resid.truncate(trunc[0], trunc[1])
         known.append(resid * Fr(sign))
     a0_sqrt = None
-    if want_sqrt:
-        c = _maybe_scalar(a0)
-        if c is not None:
-            if c == f.ring.one:
-                a0_sqrt = f.ring.one
-            elif c.is_rational() and c.as_rational() == f.ring.k:
-                a0_sqrt = f.ring.sqrt_k()
-        else:
-            a0_sqrt = unit_pow(a0, Fr(1, 2), trunc[0], trunc[1])
+    c = _maybe_scalar(a0)
+    if c is None:
+        a0_sqrt = unit_pow(a0, Fr(1, 2), trunc[0], trunc[1])
+    elif c == f.ring.one:
+        a0_sqrt = f.ring.one
+    elif c.is_rational() and c.as_rational() == f.ring.k:
+        a0_sqrt = f.ring.sqrt_k()
     if collapse:
         a0c = _maybe_scalar(a0)
         a0 = a0c if a0c is not None else a0
@@ -211,7 +207,7 @@ def solve_exp_coeffs(
 
 def covering_series(ring: ScalarRing, k: int, var: str = "x") -> FracSeries:
     """((1+x)^k - 1)/k, the z-free core of the covering map (exact polynomial)."""
-    terms = {((Fr(i),), 0): Fr(comb(k, i), k) for i in range(1, k + 1)}
+    terms = {(Fr(i),): Fr(comb(k, i), k) for i in range(1, k + 1)}
     return FracSeries(ring, (var,), terms)
 
 
@@ -241,7 +237,7 @@ def f_and_inverse(k: int, order: int, ring: ScalarRing | None = None):
     """
     ring = ring or get_ring(k)
     f = FracSeries(
-        ring, ("x", "z"), {((Fr(i), Fr(1, k)), 0): Fr(comb(k, i), k) for i in range(1, k + 1)}
+        ring, ("x", "z"), {(Fr(i), Fr(1, k)): Fr(comb(k, i), k) for i in range(1, k + 1)}
     )
     finv = binom_expand(
         ring, (1, {}), (k, {"x": 1, "z": Fr(-1, k)}), Fr(1, k), order
@@ -364,7 +360,7 @@ def substitute_monomial(s: FracSeries, var: str, coeff: Fraction, exps: dict) ->
     allvars = tuple(sorted(set(rest) | set(exps)))
     idx = [rest.index(v) if v in rest else None for v in allvars]
     out: dict = {}
-    for (old, phi), c in s.terms.items():
+    for old, c in s.terms.items():
         d = old[i]
         if d.denominator != 1 or d < 0:
             if coeff != 1:
@@ -377,12 +373,12 @@ def substitute_monomial(s: FracSeries, var: str, coeff: Fraction, exps: dict) ->
             (old_rest[j] if j is not None else Fr(0)) + d * Fr(exps.get(v, 0))
             for v, j in zip(allvars, idx)
         )
-        cur = out.get((key, phi))
+        cur = out.get(key)
         val = scaled if cur is None else cur + scaled
         if val.is_zero():
-            out.pop((key, phi), None)
+            out.pop(key, None)
         else:
-            out[(key, phi)] = val
+            out[key] = val
     return FracSeries(s.ring, allvars, out)
 
 
@@ -446,7 +442,9 @@ def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward:
     forward:  x -> (z^{1/k}+x)^k - z,      phi -> phi k^{1/2}  (z^{1/k}+x)^{(k-1)/2}
     inverse:  x -> (x+z)^{1/k} - z^{1/k},  phi -> phi k^{-1/2} (x+z)^{(1-k)/2k}
 
-    The action is multiplicative: the image of x^n is the n-th power of the
+    The map preserves parity, so an odd result is the series that phi
+    multiplies: the image of phi x^n is phi times the returned series.  The
+    action is multiplicative: the image of x^n is the n-th power of the
     image of x, and the odd dressing multiplies on.  All fractional powers
     are expanded in ascending powers of x (for (x+z)^e this means nonnegative
     integer x-powers about x = 0).
@@ -454,7 +452,7 @@ def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward:
     deep = Fr(trunc_order) + max(0, -n)
     if forward:
         base = FracSeries(
-            ring, ("x", "z"), {((Fr(i), Fr(k - i, k)), 0): comb(k, i) for i in range(1, k + 1)}
+            ring, ("x", "z"), {(Fr(i), Fr(k - i, k)): comb(k, i) for i in range(1, k + 1)}
         )
         dress_exp, dress_lead, scale = Fr(k - 1, 2), {"z": Fr(1, k)}, ring.sqrt_k()
     else:
@@ -467,7 +465,6 @@ def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward:
         # x^n pair with high-degree dressing terms inside the trusted window
         dress = binom_expand(ring, (1, dress_lead), (1, {"x": 1}), dress_exp, int(deep) + 1)
         img = (img * dress).truncate("x", trunc_order) * scale
-        img = img.times_phi()
     return img
 
 
@@ -529,29 +526,36 @@ def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[
 # ---------------------------------------------------------------------------
 
 
-def superfield_generator(j: int, s: FracSeries, x: str = "x") -> FracSeries:
-    """L_j(x, phi) s = -(x^{j+1} d/dx + ((j+1)/2) x^j phi d/dphi) s."""
-    t1 = s.derivative(x).shift_exponents(x, j + 1)
-    t2 = s.phi_part(1).shift_exponents(x, j) * Fr(j + 1, 2)
-    return -(t1 + t2)
+def superfield_generator(j: int, s: FracSeries, odd: bool, x: str = "x") -> FracSeries:
+    """L_j(x, phi) s = -(x^{j+1} d/dx + ((j+1)/2) x^j phi d/dphi) s.
+
+    L_j preserves parity: for odd, s stands for phi s and the result for phi
+    times the returned series.
+    """
+    out = s.derivative(x).shift_exponents(x, j + 1)
+    if odd:
+        out = out + s.shift_exponents(x, j) * Fr(j + 1, 2)
+    return -out
 
 
-def superfield_transform(k: int, s: FracSeries, trunc_order: int, coeff_order: int | None = None) -> FracSeries:
+def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> FracSeries:
     """exp(sum_j a_j z^{-j/k} L_j(x,phi)) . k^{-2L_0/2-ish graded scaling} . s.
 
-    The graded part scales a term x^d phi^p by k^{d+p/2} z^{(k-1)(d+p/2)/k}
-    (the group-like dilation that sends x to k z^{(k-1)/k} x); then the
-    exponential of the degree-raising generators is applied, truncated in x.
-    The whole transform is the operator route to the closed forms of
-    rep_apply(..., forward=True) and is checked against them.
+    For odd, s stands for phi s, and the result is the series that phi
+    multiplies in the image.  The graded part scales a term x^d phi^p by
+    k^{d+p/2} z^{(k-1)(d+p/2)/k} (the group-like dilation that sends x to
+    k z^{(k-1)/k} x); then the exponential of the degree-raising generators
+    is applied, truncated in x.  The whole transform is the operator route
+    to the closed forms of rep_apply(..., forward=True) and is checked
+    against them.
     """
     ring = s.ring
-    a = a_table(k, coeff_order if coeff_order is not None else int(trunc_order) + 1)
+    a = a_table(k, int(trunc_order) + 1)
     graded: dict = {}
     xi = s.vars.index("x") if "x" in s.vars else None
-    for (exps, phi), c in s.terms.items():
+    for exps, c in s.terms.items():
         d = exps[xi] if xi is not None else Fr(0)
-        half = d + Fr(phi, 2)
+        half = d + Fr(odd, 2)
         if half.denominator == 1:
             factor = c * Fr(ring.k) ** int(half)
         else:
@@ -559,13 +563,13 @@ def superfield_transform(k: int, s: FracSeries, trunc_order: int, coeff_order: i
         key = tuple(
             e + (Fr(k - 1, k) * half if v == "z" else 0) for v, e in zip(s.vars, exps)
         )
-        graded[(key, phi)] = factor
+        graded[key] = factor
     seed = FracSeries(ring, s.vars, graded).with_vars(("z",))
 
     def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)
         for j, aj in enumerate(a, start=1):
-            nxt = nxt + superfield_generator(j, cur).shift_exponents("z", Fr(-j, k)) * aj
+            nxt = nxt + superfield_generator(j, cur, odd).shift_exponents("z", Fr(-j, k)) * aj
         return nxt.truncate("x", trunc_order)
 
     return power_sum(seed, step, inverse_factorial, int(trunc_order) + 2)
@@ -577,9 +581,9 @@ def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:
     ring = get_ring(k)
     win = Window.of(x=(0, trunc_order))
     xm = FracSeries.monomial(ring, 1, {"x": 1}, vars=("z",))
-    pm = FracSeries.monomial(ring, 1, {}, phi=1, vars=("x", "z"))
-    even = superfield_transform(k, xm, trunc_order)
-    odd = superfield_transform(k, pm, trunc_order)
+    one = FracSeries.one(ring, vars=("x", "z"))
+    even = superfield_transform(k, xm, False, trunc_order)
+    odd = superfield_transform(k, one, True, trunc_order)
     reports = [
         assert_equal_on_window(
             even, rep_apply(ring, k, 1, False, trunc_order), win,
@@ -592,8 +596,7 @@ def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:
             anchors=("exp(sum a_j z^(-j/k) L_j) k-dilation phi == phi k^(1/2) (z^(1/k)+x)^((k-1)/2)",), k=k,
         ),
     ]
-    root = odd.strip_phi()
-    sq = (root * root).truncate("x", trunc_order)
+    sq = (odd * odd).truncate("x", trunc_order)
     deriv = rep_apply(ring, k, 1, False, int(trunc_order) + 1).derivative("x").truncate("x", trunc_order)
     reports.append(
         assert_equal_on_window(

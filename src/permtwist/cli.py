@@ -224,15 +224,26 @@ def _parse_ks(values, default=()) -> tuple[int, ...]:
     return ks
 
 
-def _parse_fractions(*texts) -> list[Fr] | None:
-    """The fraction arguments, or None after naming an unreadable one on stderr."""
+def _require_order(order: int) -> None:
+    if order < 1:
+        print(f"--order must be >= 1, got {order}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _parse_fractions(**texts) -> list[Fr] | None:
+    """The nonnegative fraction arguments, given by option name, or None
+    after naming an unreadable or negative one on stderr."""
     out = []
-    for text in texts:
+    for name, text in texts.items():
         try:
-            out.append(Fr(text))
+            value = Fr(text)
         except (ValueError, ZeroDivisionError):
             print(f"unreadable fraction argument {text!r}", file=sys.stderr)
             return None
+        if value < 0:
+            print(f"--{name.replace('_', '-')} must be >= 0, got {text}", file=sys.stderr)
+            return None
+        out.append(value)
     return out
 
 
@@ -269,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_coeffs(args) -> int:
+    _require_order(args.order)
     for k in _parse_ks(args.k):
         a = a_table(k, args.order)
         print(json.dumps({"k": k, "order": args.order, "a": [str(c) for c in a]}))
@@ -276,7 +288,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_char(args) -> int:
-    fracs = _parse_fractions(args.cutoff)
+    fracs = _parse_fractions(cutoff=args.cutoff)
     if fracs is None:
         return 2
     (cutoff,) = fracs
@@ -302,7 +314,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fracs = _parse_fractions(args.max_weight, args.cutoff)
+    fracs = _parse_fractions(max_weight=args.max_weight, cutoff=args.cutoff)
     if fracs is None:
         return 2
     max_weight, cutoff = fracs
@@ -318,6 +330,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    _require_order(args.order)
     rows = []
     for k in args.k:
         if k < 2:

@@ -386,15 +386,14 @@ def virasoro_mode(n: int, target: Vec) -> Vec:
 
 
 class VecSeries(FracSeries):
-    """A series whose coefficients are Vecs.  Every term has phi-degree 0:
-    parity lives in the vectors.  All series arithmetic is FracSeries'."""
+    """A series whose coefficients are Vecs.  All series arithmetic is FracSeries'."""
 
     __slots__ = ()
 
     zero_coefficient = Vec
 
     def mul_series(self, s: FracSeries, box: Window | None = None) -> "VecSeries":
-        """Multiply by a scalar series (no phi part): the convolution of supports.
+        """Multiply by a scalar series: the convolution of supports.
 
         With a box, only the products whose exponent lies in the box are
         formed, and the result is mul_series(s).truncate_window(box) term for
@@ -402,8 +401,6 @@ class VecSeries(FracSeries):
         lands on it.  It is the true coefficient of the full product when both
         operands hold every term that can reach it.
         """
-        if any(phi for _exps, phi in s.terms):
-            raise ValueError("vector series carry no odd coordinate")
         allvars, a, b = self._aligned(s)
         # the box test runs on integer numerators over one common denominator
         den, (rows, cols) = integer_exponents(a, b)
@@ -411,8 +408,8 @@ class VecSeries(FracSeries):
         limits = [(i, math.ceil(bounds[v][0] * den), math.floor(bounds[v][1] * den))
                   for i, v in enumerate(allvars) if v in bounds]
         acc: dict = {}
-        for sint, _phi, c in cols:
-            for vint, _phi, vec in rows:
+        for sint, c in cols:
+            for vint, vec in rows:
                 if any(not lo <= vint[i] + sint[i] <= hi for i, lo, hi in limits):
                     continue
                 key = tuple(map(add, vint, sint))
@@ -420,12 +417,11 @@ class VecSeries(FracSeries):
                 if cur is None:
                     cur = acc[key] = Vec(self.ring)
                 cur.accumulate(vec.terms.items(), c)
-        terms = {(tuple(Fr(x, den) for x in e), 0): vec
-                 for e, vec in acc.items() if not vec.is_zero()}
+        terms = {tuple(Fr(x, den) for x in e): vec for e, vec in acc.items() if not vec.is_zero()}
         return self._of(self.ring, allvars, terms)
 
     def truncate_window(self, window: Window) -> "VecSeries":
-        terms = {key: vec for key, vec in self.terms.items() if window.contains(self.vars, key[0])}
+        terms = {exps: vec for exps, vec in self.terms.items() if window.contains(self.vars, exps)}
         return self._of(self.ring, self.vars, terms)
 
 
@@ -529,7 +525,7 @@ def two_sided(field, u, v, w: Vec, win1, win2, vars) -> VecSeries:
         for f2, vec in inner.by_exponent():
             outer = field(u, vec, Window.of(**{v1: win1}), v1)
             for f1, res in outer.by_exponent():
-                terms[((f1, f2), 0)] = res
+                terms[(f1, f2)] = res
     return VecSeries(w.ring, vars, terms)
 
 

@@ -3,17 +3,15 @@
 The series kernel underneath every identity check in this package:
 
 * every series is canonical: `vars` is sorted, each key of `terms` is a
-  tuple of `Fraction` exponents aligned with `vars` plus a phi-degree, and
-  no coefficient is zero.  `FracSeries(...)` normalises outside input into
-  that form; every internal result is built canonical and wrapped as is by
-  `FracSeries._of`.  Products add exponents as integer numerators over the
-  lcm of both operands' exponent denominators;
-* an optional Grassmann variable phi with phi^2 = 0 rides along as a
-  0/1 degree on each term;
+  tuple of `Fraction` exponents aligned with `vars`, and no coefficient is
+  zero.  `FracSeries(...)` normalises outside input into that form; every
+  internal result is built canonical and wrapped as is by `FracSeries._of`.
+  Products add exponents as integer numerators over the lcm of both
+  operands' exponent denominators;
 * a coefficient is an `exactnum.Scalar` (rationals extended by sqrt(k) and
   a k-th root of unity) or a module vector (`fermion.Vec`, held by the
-  subclass `fermion.VecSeries`, whose terms have phi-degree 0): anything with
-  `+`, `-`, unary `-`, `is_zero()`, multiplication by a scalar and `render()`;
+  subclass `fermion.VecSeries`): anything with `+`, `-`, unary `-`,
+  `is_zero()`, multiplication by a scalar and `render()`;
 * infinite objects (delta functions, binomial tails, exp/log/inverse series)
   are truncated once at construction, at orders the caller chooses; all
   subsequent arithmetic is exact on the finite objects, and every identity
@@ -39,29 +37,25 @@ from .exactnum import Scalar, ScalarRing
 
 Fr = Fraction
 
-# A term key: exponent tuple aligned with the series' sorted variable tuple,
-# plus the phi-degree (0 or 1).
-Key = tuple[tuple[Fraction, ...], int]
+# A term key: exponent tuple aligned with the series' sorted variable tuple.
+Key = tuple[Fraction, ...]
 
 
 class CompositionDomainError(ValueError):
     """Raised for ill-defined formal composition or substitution."""
 
 
-def monomial_text(vars: tuple, exps: tuple, phi: int) -> str:
-    """prod v^e (zero exponents left out) and phi, '*'-joined, or '1'."""
-    mono = [f"{v}^{e}" for v, e in zip(vars, exps) if e != 0]
-    if phi:
-        mono.append("phi")
-    return "*".join(mono) or "1"
+def monomial_text(vars: tuple, exps: tuple) -> str:
+    """prod v^e (zero exponents left out), '*'-joined, or '1'."""
+    return "*".join(f"{v}^{e}" for v, e in zip(vars, exps) if e != 0) or "1"
 
 
 def integer_exponents(*term_dicts):
     """One common denominator of every exponent in the term dicts, and each
-    dict's terms as (exponent numerators over it, phi, coefficient) rows."""
-    den = lcm(*(e.denominator for terms in term_dicts for exps, _phi in terms for e in exps))
-    return den, [[(tuple(e.numerator * (den // e.denominator) for e in exps), phi, c)
-                  for (exps, phi), c in terms.items()] for terms in term_dicts]
+    dict's terms as (exponent numerators over it, coefficient) rows."""
+    den = lcm(*(e.denominator for terms in term_dicts for exps in terms for e in exps))
+    return den, [[(tuple(e.numerator * (den // e.denominator) for e in exps), c)
+                  for exps, c in terms.items()] for terms in term_dicts]
 
 
 @lru_cache(maxsize=4096)
@@ -92,12 +86,12 @@ class FracSeries:
         order = tuple(sorted(vars))
         perm = [vars.index(v) for v in order]
         clean: dict[Key, Scalar] = {}
-        for (exps, phi), c in (terms or {}).items():
+        for exps, c in (terms or {}).items():
             if isinstance(c, (int, Fraction)):
                 c = ring.rational(c)
             if not c.is_zero():
                 exps = [exps[i] for i in perm]
-                clean[(tuple(e if type(e) is Fraction else Fraction(e) for e in exps), phi)] = c
+                clean[tuple(e if type(e) is Fraction else Fraction(e) for e in exps)] = c
         self.ring, self.vars, self.terms = ring, order, clean
 
     @classmethod
@@ -111,11 +105,11 @@ class FracSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def monomial(ring, coeff, exps: dict | None = None, phi: int = 0, vars=()) -> "FracSeries":
-        """coeff * prod v^e * phi^phi.  `vars` may declare extra variables."""
+    def monomial(ring, coeff, exps: dict | None = None, vars=()) -> "FracSeries":
+        """coeff * prod v^e.  `vars` may declare extra variables."""
         exps = exps or {}
         allvars = tuple(sorted(set(exps) | set(vars)))
-        key = (tuple(Fraction(exps.get(v, 0)) for v in allvars), phi)
+        key = tuple(Fraction(exps.get(v, 0)) for v in allvars)
         return FracSeries(ring, allvars, {key: coeff})
 
     @staticmethod
@@ -145,8 +139,8 @@ class FracSeries:
         idx = [self.vars.index(v) if v in self.vars else None for v in allvars]
         zero = Fraction(0)
         return {
-            (tuple(exps[i] if i is not None else zero for i in idx), phi): c
-            for (exps, phi), c in self.terms.items()
+            tuple(exps[i] if i is not None else zero for i in idx): c
+            for exps, c in self.terms.items()
         }
 
     def with_vars(self, vars) -> "FracSeries":
@@ -157,8 +151,8 @@ class FracSeries:
         return self._of(self.ring, allvars, self._terms_over(allvars))
 
     def add_term(self, exps, c) -> None:
-        """Add c * prod v^exps (exps aligned with vars, phi-degree 0) in place."""
-        key = (tuple(e if type(e) is Fraction else Fraction(e) for e in exps), 0)
+        """Add c * prod v^exps (exps aligned with vars) in place."""
+        key = tuple(e if type(e) is Fraction else Fraction(e) for e in exps)
         cur = self.terms.get(key)
         new = c if cur is None else cur + c
         if new.is_zero():
@@ -168,7 +162,7 @@ class FracSeries:
 
     def by_exponent(self):
         """(exponent, coefficient) pairs of a one-variable series."""
-        return ((e, c) for ((e,), _phi), c in self.terms.items())
+        return ((e, c) for (e,), c in self.terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -209,15 +203,12 @@ class FracSeries:
         # exponents add as integer numerators over one common denominator
         den, (rows, cols) = integer_exponents(a, b)
         acc: dict = {}
-        for e1, p1, c1 in rows:
-            for e2, p2, c2 in cols:
-                if p1 + p2 > 1:
-                    continue  # phi^2 = 0
-                key = (tuple(map(add, e1, e2)), p1 + p2)
+        for e1, c1 in rows:
+            for e2, c2 in cols:
+                key = tuple(map(add, e1, e2))
                 cur = acc.get(key)
                 acc[key] = c1 * c2 if cur is None else cur + c1 * c2
-        out = {(tuple(Fraction(x, den) for x in e), phi): c
-               for (e, phi), c in acc.items() if not c.is_zero()}
+        out = {tuple(Fraction(x, den) for x in e): c for e, c in acc.items() if not c.is_zero()}
         return self._of(self.ring, allvars, out)
 
     __rmul__ = __mul__
@@ -231,14 +222,14 @@ class FracSeries:
 
     # -- extraction -------------------------------------------------------------
 
-    def coefficient(self, assignment: dict, phi: int = 0) -> Scalar:
-        """Coefficient of prod v^assignment[v] * phi^phi (missing vars: exponent 0)."""
+    def coefficient(self, assignment: dict) -> Scalar:
+        """Coefficient of prod v^assignment[v] (missing vars: exponent 0)."""
         zero = self.zero_coefficient(self.ring)
         for v in assignment:
             if v not in self.vars:
                 if Fraction(assignment[v]) != 0:
                     return zero
-        key = (tuple(Fraction(assignment.get(v, 0)) for v in self.vars), phi)
+        key = tuple(Fraction(assignment.get(v, 0)) for v in self.vars)
         return self.terms.get(key, zero)
 
     def coefficient_in(self, var: str, e) -> "FracSeries":
@@ -248,35 +239,14 @@ class FracSeries:
             return self if e == 0 else self._of(self.ring, self.vars, {})
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
-        out = {
-            (exps[:i] + exps[i + 1 :], phi): c
-            for (exps, phi), c in self.terms.items() if exps[i] == e
-        }
+        out = {exps[:i] + exps[i + 1 :]: c for exps, c in self.terms.items() if exps[i] == e}
         return self._of(self.ring, rest, out)
-
-    def residue(self, var: str) -> "FracSeries":
-        """Res_var: the coefficient series of var^(-1)."""
-        return self.coefficient_in(var, Fraction(-1))
 
     def exponents_of(self, var: str) -> set[Fraction]:
         if var not in self.vars:
             return {Fraction(0)} if self.terms else set()
         i = self.vars.index(var)
-        return {exps[i] for (exps, _phi) in self.terms}
-
-    def phi_part(self, phi: int) -> "FracSeries":
-        terms = {key: c for key, c in self.terms.items() if key[1] == phi}
-        return self._of(self.ring, self.vars, terms)
-
-    def strip_phi(self) -> "FracSeries":
-        """Divide the phi-linear part by phi (phi-degree 1 terms become degree 0)."""
-        terms = {(exps, 0): c for (exps, phi), c in self.terms.items() if phi == 1}
-        return self._of(self.ring, self.vars, terms)
-
-    def times_phi(self) -> "FracSeries":
-        """Multiply by phi on the left (kills existing phi-degree-1 terms)."""
-        terms = {(exps, 1): c for (exps, phi), c in self.terms.items() if phi == 0}
-        return self._of(self.ring, self.vars, terms)
+        return {exps[i] for exps in self.terms}
 
     # -- calculus ----------------------------------------------------------------
 
@@ -286,8 +256,8 @@ class FracSeries:
         i = self.vars.index(var)
         # e -> e - 1 is injective and c * e != 0 for a nonzero rational e
         out = {
-            (exps[:i] + (exps[i] - 1,) + exps[i + 1 :], phi): c * exps[i]
-            for (exps, phi), c in self.terms.items() if exps[i] != 0
+            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i]
+            for exps, c in self.terms.items() if exps[i] != 0
         }
         return self._of(self.ring, self.vars, out)
 
@@ -306,10 +276,7 @@ class FracSeries:
         if var not in self.vars:
             return self
         i = self.vars.index(var)
-        terms = {
-            (exps[:i] + (exps[i] * factor,) + exps[i + 1 :], phi): c
-            for (exps, phi), c in self.terms.items()
-        }
+        terms = {exps[:i] + (exps[i] * factor,) + exps[i + 1 :]: c for exps, c in self.terms.items()}
         return self._of(self.ring, self.vars, terms)
 
     def shift_exponents(self, var: str, delta) -> "FracSeries":
@@ -317,10 +284,7 @@ class FracSeries:
         delta = Fraction(delta)
         s = self if var in self.vars else self.with_vars((var,))
         i = s.vars.index(var)
-        terms = {
-            (exps[:i] + (exps[i] + delta,) + exps[i + 1 :], phi): c
-            for (exps, phi), c in s.terms.items()
-        }
+        terms = {exps[:i] + (exps[i] + delta,) + exps[i + 1 :]: c for exps, c in s.terms.items()}
         return s._of(s.ring, s.vars, terms)
 
     def eta_twist(self, var: str, j: int) -> "FracSeries":
@@ -334,26 +298,22 @@ class FracSeries:
             return self
         i = self.vars.index(var)
         out = {}
-        for (exps, phi), c in self.terms.items():
+        for exps, c in self.terms.items():
             km = exps[i] * k
             if km.denominator != 1:
                 raise CompositionDomainError(
                     f"exponent {exps[i]} of {var} is off the (1/{k})Z lattice"
                 )
-            out[(exps, phi)] = c * self.ring.eta(j * int(km))
+            out[exps] = c * self.ring.eta(j * int(km))
         return self._of(self.ring, self.vars, out)
 
-    def truncate(self, var: str, max_exp, min_exp=None) -> "FracSeries":
-        """Drop terms with var-exponent above max_exp (or below min_exp)."""
+    def truncate(self, var: str, max_exp) -> "FracSeries":
+        """Drop terms with var-exponent above max_exp."""
         if var not in self.vars:
             return self
         i = self.vars.index(var)
         max_exp = Fraction(max_exp)
-        lo = None if min_exp is None else Fraction(min_exp)
-        out = {
-            key: c for key, c in self.terms.items()
-            if key[0][i] <= max_exp and (lo is None or key[0][i] >= lo)
-        }
+        out = {exps: c for exps, c in self.terms.items() if exps[i] <= max_exp}
         return self._of(self.ring, self.vars, out)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
@@ -375,13 +335,13 @@ class FracSeries:
         rest = self.vars[:i] + self.vars[i + 1 :]
         # var^e groups: dropping the var-exponent is injective within a group
         groups: dict[int, dict] = {}
-        for (exps, phi), c in self.terms.items():
+        for exps, c in self.terms.items():
             e = exps[i]
             if e.denominator != 1:
                 raise CompositionDomainError(
                     f"substitute: fractional power {e} of {var} unsupported"
                 )
-            groups.setdefault(int(e), {})[(exps[:i] + exps[i + 1 :], phi)] = c
+            groups.setdefault(int(e), {})[exps[:i] + exps[i + 1 :]] = c
         powers = {0: FracSeries.one(self.ring)}
         # step -> (repl or its inverse, the depth its powers are chained at)
         base = {1: (repl, trunc_order)}
@@ -408,8 +368,8 @@ class FracSeries:
         if not self.terms:
             return "0"
         bits = []
-        for (exps, phi), c in sorted(self.terms.items()):
-            bits.append(f"({c.render()})*{monomial_text(self.vars, exps, phi)}")
+        for exps, c in sorted(self.terms.items()):
+            bits.append(f"({c.render()})*{monomial_text(self.vars, exps)}")
             if max_terms and len(bits) >= max_terms:
                 bits.append("...")
                 break
@@ -429,8 +389,8 @@ def leading_term(s: FracSeries, var: str):
     if not s.terms:
         raise CompositionDomainError("leading term of zero series")
     i = s.vars.index(var)
-    emin = min(key[0][i] for key in s.terms)
-    hits = [key for key in s.terms if key[0][i] == emin]
+    emin = min(exps[i] for exps in s.terms)
+    hits = [exps for exps in s.terms if exps[i] == emin]
     if len(hits) != 1:
         raise CompositionDomainError(f"leading {var}-term not unique: {hits}")
     return hits[0], s.terms[hits[0]]
@@ -466,7 +426,7 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
     limit = 1
     if not r.is_zero():
         i = r.vars.index(trunc_var)
-        emin = min(key[0][i] for key in r.terms)
+        emin = min(exps[i] for exps in r.terms)
         if emin <= 0:
             raise CompositionDomainError(f"{name} needs a tail of positive {trunc_var}-order")
         limit = int(Fraction(trunc_order) / emin) + 1
@@ -476,12 +436,8 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
 
 def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
     """1/s for s with a unique invertible leading monomial in trunc_var."""
-    (lexps, lphi), lcoeff = leading_term(s, trunc_var)
-    if lphi:
-        raise CompositionDomainError("cannot invert a phi-odd series")
-    lead_inv = FracSeries(
-        s.ring, s.vars, {(tuple(-e for e in lexps), 0): lcoeff.invert()}
-    )
+    lexps, lcoeff = leading_term(s, trunc_var)
+    lead_inv = FracSeries._of(s.ring, s.vars, {tuple(-e for e in lexps): lcoeff.invert()})
     r = lead_inv * s - FracSeries.one(s.ring)
     return lead_inv * _tail_power_sum(r, lambda j: (-1) ** j, trunc_var, trunc_order, "invert_series")
 
@@ -534,7 +490,7 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
     for j in range(order + 1):
         c = tpow * gbinom(exponent, j)
         if not c.is_zero():
-            key = (tuple(a * (exponent - j) + b * j for a, b in zip(lead_exps, tail_exps)), 0)
+            key = tuple(a * (exponent - j) + b * j for a, b in zip(lead_exps, tail_exps))
             cur = terms.get(key)
             terms[key] = c if cur is None else cur + c
         tpow = tpow * tc
@@ -703,8 +659,8 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
     whose coefficients differ fails the report with the text
     mismatch(monomial text, coefficient of a, coefficient of b)."""
     allvars, ta, tb = a._aligned(b)
-    keys = {key for key in ta if window.contains(allvars, key[0])}
-    keys.update(key for key in tb if window.contains(allvars, key[0]))
+    keys = {key for key in ta if window.contains(allvars, key)}
+    keys.update(key for key in tb if window.contains(allvars, key))
     zero = a.zero_coefficient(a.ring)
     for key in sorted(keys):
         ca = ta.get(key, zero)
@@ -715,7 +671,7 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
                 tuple(anchors),
                 window.render(),
                 "fail",
-                first_mismatch=mismatch(monomial_text(allvars, *key), ca, cb),
+                first_mismatch=mismatch(monomial_text(allvars, key), ca, cb),
                 detail=detail,
                 k=k,
             )

@@ -1,5 +1,5 @@
-"""One cold pass of the benchmark's series workload passes its verdict table,
-and the benchmark's tracer wraps every layer it names.
+"""One cold pass of each benchmark workload passes its verdict table, and
+the benchmark's tracer wraps every layer it names.
 
 A change under src/ that breaks what bench/workloads.py or bench/tracing.py
 expects fails here, in the test suite, and not only in a benchmark run.
@@ -13,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_series_workload_pass_has_no_failed_verdicts():
+@pytest.mark.parametrize("workload", ["jacobi", "series", "sweep"])
+def test_workload_pass_has_no_failed_verdicts(workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", "series", "--seed", "1"],
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", workload, "--seed", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stderr

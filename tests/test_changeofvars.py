@@ -25,6 +25,7 @@ from permtwist.changeofvars import (
     solve_exp_coeffs,
     substitute_monomial,
     superfield_exp_check,
+    superfield_transform,
     theta_extract,
     theta_verify,
 )
@@ -166,10 +167,10 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 )
 def test_solver_reconstructs_random_series(a0, cs):
     ring = get_ring(1)
-    terms = {((F(1),), 0): a0}
+    terms = {(F(1),): a0}
     for i, c in enumerate(cs, start=2):
         if c:
-            terms[((F(i),), 0)] = c
+            terms[(F(i),)] = c
     f = FracSeries(ring, ("x",), terms)
     sol = solve_exp_coeffs(f, "x", 4, -1)
     rebuilt = exp_flow(ring, sol.A, "x", 5, -1, a0=sol.a0)
@@ -237,7 +238,7 @@ def test_f_inverse_checks_order_10(k):
 def test_compositional_inverse_is_independent_of_closed_form():
     # inverse of a series that has no binomial closed form
     ring = get_ring(1)
-    f = FracSeries(ring, ("x",), {((F(1),), 0): 1, ((F(2),), 0): F(3), ((F(5),), 0): F(-2)})
+    f = FracSeries(ring, ("x",), {(F(1),): 1, (F(2),): F(3), (F(5),): F(-2)})
     g = compositional_inverse(f, "x", 8)
     comp = f.substitute("x", g, "x", 8)
     rep = assert_equal_on_window(
@@ -306,7 +307,7 @@ def test_theta_negative_control_wrong_sign():
 def test_rep_closed_form_k2_forward_x():
     ring = get_ring(2)
     img = rep_apply(ring, 2, 1, False, 6)
-    expect = FracSeries(ring, ("x", "z"), {((F(1), F(1, 2)), 0): 2, ((F(2), F(0)), 0): 1})
+    expect = FracSeries(ring, ("x", "z"), {(F(1), F(1, 2)): 2, (F(2), F(0)): 1})
     assert img == expect
 
 
@@ -314,8 +315,8 @@ def test_rep_k1_is_identity():
     ring = get_ring(1)
     for n in (-3, 0, 2):
         assert rep_apply(ring, 1, n, False, 6) == FracSeries.monomial(ring, 1, {"x": n})
-        odd = rep_apply(ring, 1, n, True, 6)
-        assert odd == FracSeries.monomial(ring, 1, {"x": n}, phi=1)
+        # phi x^n maps to phi x^n: the odd image is the series phi multiplies
+        assert rep_apply(ring, 1, n, True, 6) == FracSeries.monomial(ring, 1, {"x": n})
 
 
 def test_rep_inverse_x_lowest_term_k3():
@@ -376,3 +377,16 @@ def test_rep_identity_check_fails_on_a_perturbed_odd_image(monkeypatch):
 def test_superfield_exponential_route(k):
     for rep in superfield_exp_check(k):
         assert rep.status == "pass", (rep.identity, rep.first_mismatch)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_superfield_exponential_is_multiplicative_in_both_parities(k, n, odd):
+    # the operator exponential on x^n (or phi x^n) is the n-th power of the
+    # closed-form even coordinate (times the odd dressing): this reaches the
+    # phi d/dphi term of L_j at every x-degree
+    ring = get_ring(k)
+    got = superfield_transform(k, FracSeries.monomial(ring, 1, {"x": n}, vars=("z",)), odd, 7)
+    rep = assert_equal_on_window(got, rep_apply(ring, k, n, odd, 7), Window.of(x=(0, 7)), "superfield.power")
+    assert rep.status == "pass", rep.first_mismatch

@@ -68,16 +68,34 @@ def test_coeffs_k_below_one_exits_two_with_message(capsys):
     assert "--k values must be >= 1, got 0" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0"], "--k values must be >= 1, got 0"),
     (["--cutoff", "abc"], "unreadable fraction argument 'abc'"),
+    (["--cutoff", "-5"], "--cutoff must be >= 0, got -5"),
 ])
 def test_char_bad_input_exits_two_with_message(capsys, argv, message):
-    try:
-        rc = cli.main(["char", *argv])
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == 2
+    assert _exit_code(["char", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "char", "--k", "3", "--cutoff", "-5"], "--cutoff must be >= 0, got -5"),
+    (["check", "all", "--cutoff", "-5"], "--cutoff must be >= 0, got -5"),
+    (["check", "conjugation", "--max-weight=-1/2"], "--max-weight must be >= 0, got -1/2"),
+    (["coeffs", "--order", "-1"], "--order must be >= 1, got -1"),
+    (["coeffs", "--order", "0"], "--order must be >= 1, got 0"),
+    (["theta", "--k", "2", "--order", "-2"], "--order must be >= 1, got -2"),
+])
+def test_bad_numeric_input_exits_two_with_message(capsys, argv, message):
+    assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and not captured.out
 

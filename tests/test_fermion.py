@@ -431,8 +431,8 @@ def test_l_derivative_vacuum_trivial():
 
 
 def test_vecseries_alignment_and_arith():
-    a = VecSeries(R1, ("x",), {((F(1),), 0): psi_vec(R1)})
-    b = VecSeries(R1, ("z",), {((F(2),), 0): psi_vec(R1)})
+    a = VecSeries(R1, ("x",), {(F(1),): psi_vec(R1)})
+    b = VecSeries(R1, ("z",), {(F(2),): psi_vec(R1)})
     c = a + b
     assert c.coefficient({"x": 1}) == psi_vec(R1)
     assert c.coefficient({"z": 2}) == psi_vec(R1)
@@ -441,31 +441,31 @@ def test_vecseries_alignment_and_arith():
 
 def test_mismatch_texts_of_the_window_walk():
     # the scalar and the vector rendering of the first mismatch, byte for byte
-    a = FracSeries.monomial(R1, 2, {"x": 1}, phi=1)
-    b = FracSeries.monomial(R1, F(-1, 2), {"x": 1}, phi=1) + FracSeries.monomial(R1, 5, {"x": 2})
+    a = FracSeries.monomial(R1, 2, {"x": 1})
+    b = FracSeries.monomial(R1, F(-1, 2), {"x": 1}) + FracSeries.monomial(R1, 5, {"x": 2})
     rep = assert_equal_on_window(a, b, Window.of(x=(-2, 2)), "scalar")
-    assert rep.first_mismatch == "at x^1*phi: 2 != -1/2"
+    assert rep.first_mismatch == "at x^1: 2 != -1/2"
     # vars declared as (x2, x1) are stored sorted
-    va = VecSeries(R1, ("x2", "x1"), {((F(1), F(-1)), 0): psi_vec(R1)})
+    va = VecSeries(R1, ("x2", "x1"), {(F(1), F(-1)): psi_vec(R1)})
     assert va.vars == ("x1", "x2")
     vb = VecSeries(R1, ("x1", "x2"))
     rep = vec_equal_on_window(va, vb, Window.of(x1=(-1, 1), x2=(-1, 1)), "vector")
     assert rep.first_mismatch == "at x1^-1*x2^1, psi(-1/2)|0>: 1 != 0"
     # of several differing basis keys, the first in sorted order is named
-    vc = VecSeries(R1, ("x1", "x2"), {((F(-1), F(1)), 0): psi_vec(R1).scale(2) + vac_vec(R1).scale(3)})
+    vc = VecSeries(R1, ("x1", "x2"), {(F(-1), F(1)): psi_vec(R1).scale(2) + vac_vec(R1).scale(3)})
     rep = vec_equal_on_window(va, vc, Window.of(x1=(-1, 1), x2=(-1, 1)), "vector")
     assert rep.first_mismatch == "at x1^-1*x2^1, |0>: 0 != 3"
 
 
 def test_vecseries_mul_series_exponents():
-    a = VecSeries(R1, ("x",), {((F(-1),), 0): psi_vec(R1)})
+    a = VecSeries(R1, ("x",), {(F(-1),): psi_vec(R1)})
     s = FracSeries.monomial(R1, F(3), {"x": F(1, 2), "z": 2})
     out = a.mul_series(s)
     assert out.coefficient({"x": F(-1, 2), "z": 2}) == psi_vec(R1).scale(3)
 
 
 def test_vecseries_exponent_maps():
-    a = VecSeries(R1, ("x",), {((F(2),), 0): psi_vec(R1)})
+    a = VecSeries(R1, ("x",), {(F(2),): psi_vec(R1)})
     assert a.shift_exponents("x", F(1, 3)).exponents_of("x") == {F(7, 3)}
     assert a.scale_exponents("x", F(1, 2)).exponents_of("x") == {F(1)}
     d = a.derivative("x")

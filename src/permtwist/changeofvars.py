@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .exactnum import NotAUnitError, Scalar, ScalarRing, get_ring
 from .fseries import (
@@ -115,8 +115,8 @@ def _maybe_scalar(s: FracSeries) -> Scalar | None:
 def _series_reciprocal(s: FracSeries, trunc):
     """1/s: monomial fast path, else invert_series on the trunc variable."""
     if len(s.terms) == 1:
-        (exps, c), = s.terms.items()
-        return FracSeries(s.ring, s.vars, {tuple(-e for e in exps): c.invert()})
+        (key, c), = s.terms.items()
+        return FracSeries._of(s.ring, s.vars, {tuple(-n for n in key): c.invert()}, s.den)
     if trunc is None:
         raise CompositionDomainError("series-valued leading coefficient needs trunc=(var, order)")
     return invert_series(s, trunc[0], trunc[1])
@@ -223,10 +223,20 @@ def compute_a(k: int, order: int) -> ExpCoeffs:
     return solve_exp_coeffs(covering_series(get_ring(k), k), "x", order, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _a_solved(k: int) -> list:
+    """A one-entry holder of a_1..a_m for k, m the largest order solved so far."""
+    return [()]
+
+
 def a_table(k: int, order: int = 8) -> tuple[Fraction, ...]:
-    """compute_a as a cached tuple of plain rationals."""
-    return compute_a(k, order).rationals()
+    """a_1..a_order as plain rationals.  The a_j do not depend on the order
+    solved to, so each k is solved once, at the largest order asked for so
+    far, and sliced."""
+    solved = _a_solved(k)
+    if len(solved[0]) < order:
+        solved[0] = compute_a(k, order).rationals()
+    return solved[0][: max(order, 0)]
 
 
 def f_and_inverse(k: int, order: int, ring: ScalarRing | None = None):
@@ -359,27 +369,23 @@ def substitute_monomial(s: FracSeries, var: str, coeff: Fraction, exps: dict) ->
     rest = s.vars[:i] + s.vars[i + 1 :]
     allvars = tuple(sorted(set(rest) | set(exps)))
     idx = [rest.index(v) if v in rest else None for v in allvars]
-    out: dict = {}
+    # over den = s.den * m, a var-numerator d lands d * exps[v] * m on v
+    m = lcm(*(Fr(e).denominator for e in exps.values()))
+    spread = [int(Fr(exps.get(v, 0)) * m) for v in allvars]
+    out = FracSeries._of(s.ring, allvars, {}, s.den * m)
     for old, c in s.terms.items():
         d = old[i]
-        if d.denominator != 1 or d < 0:
+        power, r = divmod(d, s.den)
+        if r or d < 0:
             if coeff != 1:
-                raise CompositionDomainError(f"cannot raise coefficient {coeff} to power {d}")
+                raise CompositionDomainError(f"cannot raise coefficient {coeff} to power {Fr(d, s.den)}")
             scaled = c
         else:
-            scaled = c * coeff ** int(d)
+            scaled = c * coeff ** power
         old_rest = old[:i] + old[i + 1 :]
-        key = tuple(
-            (old_rest[j] if j is not None else Fr(0)) + d * Fr(exps.get(v, 0))
-            for v, j in zip(allvars, idx)
-        )
-        cur = out.get(key)
-        val = scaled if cur is None else cur + scaled
-        if val.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = val
-    return FracSeries(s.ring, allvars, out)
+        out.add_at(tuple((0 if j is None else old_rest[j] * m) + d * t for j, t in zip(idx, spread)),
+                   scaled)
+    return out
 
 
 def theta_verify(k: int, order: int = 4, z0_order: int = 6) -> list[CheckReport]:
@@ -551,20 +557,14 @@ def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> 
     """
     ring = s.ring
     a = a_table(k, int(trunc_order) + 1)
-    graded: dict = {}
+    seed = FracSeries.zero(ring, s.vars)
     xi = s.vars.index("x") if "x" in s.vars else None
-    for exps, c in s.terms.items():
-        d = exps[xi] if xi is not None else Fr(0)
-        half = d + Fr(odd, 2)
-        if half.denominator == 1:
-            factor = c * Fr(ring.k) ** int(half)
-        else:
-            factor = c * ring.sqrt_k_pow(int(2 * half))
-        key = tuple(
-            e + (Fr(k - 1, k) * half if v == "z" else 0) for v, e in zip(s.vars, exps)
-        )
-        graded[key] = factor
-    seed = FracSeries(ring, s.vars, graded).with_vars(("z",))
+    for key, c in s.terms.items():
+        exps = [Fr(n, s.den) for n in key]
+        half = (exps[xi] if xi is not None else 0) + Fr(odd, 2)
+        exps = [e + Fr(k - 1, k) * half if v == "z" else e for v, e in zip(s.vars, exps)]
+        seed.add_term(exps, c * ring.sqrt_k_pow(int(2 * half)))
+    seed = seed.with_vars(("z",))
 
     def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)

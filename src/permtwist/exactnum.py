@@ -63,7 +63,7 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, lowest degree first, computed by exact division:
 
@@ -158,7 +158,7 @@ class ScalarRing:
         return hash(("ScalarRing", self.k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded; rings compare by k, so a rebuilt ring mixes with the old
 def get_ring(k: int) -> ScalarRing:
     return ScalarRing(k)
 

@@ -23,7 +23,6 @@ from .fseries import (
     Window,
     compare_on_window,
     delta_truncated,
-    integer_exponents,
 )
 
 State = tuple  # strictly increasing negative ints
@@ -401,14 +400,11 @@ class VecSeries(FracSeries):
         lands on it.  It is the true coefficient of the full product when both
         operands hold every term that can reach it.
         """
-        allvars, a, b = self._aligned(s)
-        # the box test runs on integer numerators over one common denominator
-        den, (rows, cols) = integer_exponents(a, b)
-        bounds = box.as_dict() if box is not None else {}
-        limits = [(i, math.ceil(bounds[v][0] * den), math.floor(bounds[v][1] * den))
-                  for i, v in enumerate(allvars) if v in bounds]
+        allvars, den, a, b = self._aligned(s)
+        limits = box.limits(allvars, den) if box is not None else []
+        rows = list(a.items())
         acc: dict = {}
-        for sint, c in cols:
+        for sint, c in b.items():
             for vint, vec in rows:
                 if any(not lo <= vint[i] + sint[i] <= hi for i, lo, hi in limits):
                     continue
@@ -417,12 +413,14 @@ class VecSeries(FracSeries):
                 if cur is None:
                     cur = acc[key] = Vec(self.ring)
                 cur.accumulate(vec.terms.items(), c)
-        terms = {tuple(Fr(x, den) for x in e): vec for e, vec in acc.items() if not vec.is_zero()}
-        return self._of(self.ring, allvars, terms)
+        terms = {key: vec for key, vec in acc.items() if not vec.is_zero()}
+        return self._of(self.ring, allvars, terms, den)
 
     def truncate_window(self, window: Window) -> "VecSeries":
-        terms = {exps: vec for exps, vec in self.terms.items() if window.contains(self.vars, exps)}
-        return self._of(self.ring, self.vars, terms)
+        box = window.limits(self.vars, self.den)
+        terms = {key: vec for key, vec in self.terms.items()
+                 if all(lo <= key[i] <= hi for i, lo, hi in box)}
+        return self._of(self.ring, self.vars, terms, self.den)
 
 
 def vec_equal_on_window(

@@ -2,12 +2,13 @@
 
 The series kernel underneath every identity check in this package:
 
-* every series is canonical: `vars` is sorted, each key of `terms` is a
-  tuple of `Fraction` exponents aligned with `vars`, and no coefficient is
-  zero.  `FracSeries(...)` normalises outside input into that form; every
-  internal result is built canonical and wrapped as is by `FracSeries._of`.
-  Products add exponents as integer numerators over the lcm of both
-  operands' exponent denominators;
+* every series is canonical: `vars` is sorted, `den` is a positive int,
+  each key of `terms` is a tuple of ints aligned with `vars` (a variable's
+  exponent is its int over `den`), and no coefficient is zero.
+  `FracSeries(...)` normalises outside input into that form; every internal
+  result is built canonical and wrapped as is by `FracSeries._of`.  All
+  exponent arithmetic is on ints, two operands meeting over the lcm of
+  their dens; `Fraction` exponents appear only at the boundary;
 * a coefficient is an `exactnum.Scalar` (rationals extended by sqrt(k) and
   a k-th root of unity) or a module vector (`fermion.Vec`, held by the
   subclass `fermion.VecSeries`): anything with `+`, `-`, unary `-`,
@@ -30,32 +31,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from operator import add, attrgetter
+from math import ceil, factorial, floor, lcm
+from operator import add, attrgetter, mul
 
 from .exactnum import Scalar, ScalarRing
 
 Fr = Fraction
 
-# A term key: exponent tuple aligned with the series' sorted variable tuple.
-Key = tuple[Fraction, ...]
+# A term key: integer exponent numerators over the series' `den`, aligned
+# with its sorted variable tuple.
+Key = tuple[int, ...]
 
 
 class CompositionDomainError(ValueError):
     """Raised for ill-defined formal composition or substitution."""
 
 
-def monomial_text(vars: tuple, exps: tuple) -> str:
-    """prod v^e (zero exponents left out), '*'-joined, or '1'."""
-    return "*".join(f"{v}^{e}" for v, e in zip(vars, exps) if e != 0) or "1"
+def monomial_text(vars: tuple, key: Key, den: int) -> str:
+    """prod v^(n/den) (zero exponents left out), '*'-joined, or '1'."""
+    return "*".join(f"{v}^{Fraction(n, den)}" for v, n in zip(vars, key) if n) or "1"
 
 
-def integer_exponents(*term_dicts):
-    """One common denominator of every exponent in the term dicts, and each
-    dict's terms as (exponent numerators over it, coefficient) rows."""
-    den = lcm(*(e.denominator for terms in term_dicts for exps in terms for e in exps))
-    return den, [[(tuple(e.numerator * (den // e.denominator) for e in exps), c)
-                  for exps, c in terms.items()] for terms in term_dicts]
+def _numerators(exps, den: int) -> Key | None:
+    """Exponents (ints or Fractions) as integer numerators over den, or None
+    when one of them is off the (1/den)Z lattice."""
+    key = []
+    for e in exps:
+        n, r = divmod(e.numerator * den, e.denominator)
+        if r:
+            return None
+        key.append(n)
+    return tuple(key)
 
 
 @lru_cache(maxsize=4096)
@@ -74,32 +80,29 @@ def gbinom(r: Fraction, j: int) -> Fraction:
 
 
 class FracSeries:
-    __slots__ = ("ring", "vars", "terms")
+    __slots__ = ("ring", "vars", "den", "terms")
 
     # ring -> the zero coefficient, for keys a series does not hold
     zero_coefficient = attrgetter("zero")
 
     def __init__(self, ring: ScalarRing, vars, terms=None):
-        """Normalise outside input: sort vars, make exponents `Fraction`s,
+        """Normalise outside input: sort vars, put every exponent (int,
+        Fraction or anything Fraction() reads) over one common denominator,
         lift int/Fraction coefficients into the ring and drop zeros."""
         vars = tuple(vars)
         order = tuple(sorted(vars))
         perm = [vars.index(v) for v in order]
-        clean: dict[Key, Scalar] = {}
+        self.ring, self.vars, self.den, self.terms = ring, order, 1, {}
         for exps, c in (terms or {}).items():
-            if isinstance(c, (int, Fraction)):
-                c = ring.rational(c)
-            if not c.is_zero():
-                exps = [exps[i] for i in perm]
-                clean[tuple(e if type(e) is Fraction else Fraction(e) for e in exps)] = c
-        self.ring, self.vars, self.terms = ring, order, clean
+            c = ring.rational(c) if isinstance(c, (int, Fraction)) else c
+            self.add_term([Fraction(exps[i]) for i in perm], c)
 
     @classmethod
-    def _of(cls, ring: ScalarRing, vars: tuple, terms: dict) -> "FracSeries":
+    def _of(cls, ring: ScalarRing, vars: tuple, terms: dict, den: int) -> "FracSeries":
         """Wrap terms that are already canonical (see the module docstring).
         Called on a series, it keeps that series' class."""
         s = object.__new__(cls)
-        s.ring, s.vars, s.terms = ring, vars, terms
+        s.ring, s.vars, s.terms, s.den = ring, vars, terms, den
         return s
 
     # -- constructors ---------------------------------------------------------
@@ -109,7 +112,7 @@ class FracSeries:
         """coeff * prod v^e.  `vars` may declare extra variables."""
         exps = exps or {}
         allvars = tuple(sorted(set(exps) | set(vars)))
-        key = tuple(Fraction(exps.get(v, 0)) for v in allvars)
+        key = tuple(exps.get(v, 0) for v in allvars)
         return FracSeries(ring, allvars, {key: coeff})
 
     @staticmethod
@@ -123,24 +126,27 @@ class FracSeries:
     # -- bookkeeping ------------------------------------------------------------
 
     def _aligned(self, other: "FracSeries"):
-        """(union of vars, self's terms, other's terms) over the union; only
-        an operand that lacks some of those vars is remapped."""
+        """(union of vars, lcm of both dens, self's terms, other's terms), both
+        over that union and den; only an operand that lacks some of those
+        vars, or has a smaller den, is re-keyed."""
         if self.ring.k != other.ring.k:
             raise ValueError("series over different scalar rings")
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
+        if self.vars == other.vars and self.den == other.den:
+            return self.vars, self.den, self.terms, other.terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-        return allvars, self._terms_over(allvars), other._terms_over(allvars)
+        den = lcm(self.den, other.den)
+        return allvars, den, self._terms_over(allvars, den), other._terms_over(allvars, den)
 
-    def _terms_over(self, allvars: tuple) -> dict:
-        """The terms with exponents aligned to allvars, a sorted superset of vars."""
-        if allvars == self.vars:
+    def _terms_over(self, allvars: tuple, den: int) -> dict:
+        """The terms re-keyed over allvars, a sorted superset of vars, and
+        den, a multiple of self.den."""
+        m = den // self.den
+        if allvars == self.vars and m == 1:
             return self.terms
         idx = [self.vars.index(v) if v in self.vars else None for v in allvars]
-        zero = Fraction(0)
         return {
-            tuple(exps[i] if i is not None else zero for i in idx): c
-            for exps, c in self.terms.items()
+            tuple(0 if i is None else key[i] * m for i in idx): c
+            for key, c in self.terms.items()
         }
 
     def with_vars(self, vars) -> "FracSeries":
@@ -148,11 +154,21 @@ class FracSeries:
         allvars = tuple(sorted(set(self.vars) | set(vars)))
         if allvars == self.vars:
             return self
-        return self._of(self.ring, allvars, self._terms_over(allvars))
+        return self._of(self.ring, allvars, self._terms_over(allvars, self.den), self.den)
 
     def add_term(self, exps, c) -> None:
-        """Add c * prod v^exps (exps aligned with vars) in place."""
-        key = tuple(e if type(e) is Fraction else Fraction(e) for e in exps)
+        """Add c * prod v^exps (exps aligned with vars, ints or Fractions) in
+        place.  An exponent off the (1/den)Z lattice first refines den."""
+        key = _numerators(exps, self.den)
+        if key is None:
+            den = lcm(self.den, *(e.denominator for e in exps))
+            self.terms, self.den = self._terms_over(self.vars, den), den
+            key = _numerators(exps, den)
+        self.add_at(key, c)
+
+    def add_at(self, key: Key, c) -> None:
+        """Add c at key, integer exponent numerators over den, in place; a
+        zero sum drops the term."""
         cur = self.terms.get(key)
         new = c if cur is None else cur + c
         if new.is_zero():
@@ -161,8 +177,15 @@ class FracSeries:
             self.terms[key] = new
 
     def by_exponent(self):
-        """(exponent, coefficient) pairs of a one-variable series."""
-        return ((e, c) for (e,), c in self.terms.items())
+        """(Fraction exponent, coefficient) pairs of a one-variable series."""
+        den = self.den
+        return ((Fraction(n, den), c) for (n,), c in self.terms.items())
+
+    def by_numerator(self, den: int):
+        """(exponent numerator over den, coefficient) pairs of a one-variable
+        series; den is a multiple of the series' den."""
+        m = den // self.den
+        return ((n * m, c) for (n,), c in self.terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -170,13 +193,13 @@ class FracSeries:
     def __eq__(self, other):
         if not isinstance(other, FracSeries):
             return NotImplemented
-        _, a, b = self._aligned(other)
+        _, _, a, b = self._aligned(other)
         return a == b
 
     # -- ring operations --------------------------------------------------------
 
     def _merge(self, other: "FracSeries", sub: bool) -> "FracSeries":
-        allvars, a, b = self._aligned(other)
+        allvars, den, a, b = self._aligned(other)
         out = dict(a)
         for key, c in b.items():
             cur = out.get(key)
@@ -185,7 +208,7 @@ class FracSeries:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return self._of(self.ring, allvars, out)
+        return self._of(self.ring, allvars, out, den)
 
     def __add__(self, other: "FracSeries") -> "FracSeries":
         return self._merge(other, False)
@@ -194,22 +217,22 @@ class FracSeries:
         return self._merge(other, True)
 
     def __neg__(self) -> "FracSeries":
-        return self._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()})
+        return self._of(self.ring, self.vars, {key: -c for key, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
-        allvars, a, b = self._aligned(other)
-        # exponents add as integer numerators over one common denominator
-        den, (rows, cols) = integer_exponents(a, b)
+        # over one common den, exponents add as their integer numerators
+        allvars, den, a, b = self._aligned(other)
+        cols = list(b.items())
         acc: dict = {}
-        for e1, c1 in rows:
+        for e1, c1 in a.items():
             for e2, c2 in cols:
                 key = tuple(map(add, e1, e2))
                 cur = acc.get(key)
                 acc[key] = c1 * c2 if cur is None else cur + c1 * c2
-        out = {tuple(Fraction(x, den) for x in e): c for e, c in acc.items() if not c.is_zero()}
-        return self._of(self.ring, allvars, out)
+        out = {key: c for key, c in acc.items() if not c.is_zero()}
+        return self._of(self.ring, allvars, out, den)
 
     __rmul__ = __mul__
 
@@ -218,48 +241,48 @@ class FracSeries:
             c = self.ring.rational(c)
         # a product of nonzero scalars can vanish: the ring has zero divisors at k = 5
         terms = {key: p for key, v in self.terms.items() if not (p := v * c).is_zero()}
-        return self._of(self.ring, self.vars, terms)
+        return self._of(self.ring, self.vars, terms, self.den)
 
     # -- extraction -------------------------------------------------------------
 
     def coefficient(self, assignment: dict) -> Scalar:
         """Coefficient of prod v^assignment[v] (missing vars: exponent 0)."""
         zero = self.zero_coefficient(self.ring)
-        for v in assignment:
-            if v not in self.vars:
-                if Fraction(assignment[v]) != 0:
-                    return zero
-        key = tuple(Fraction(assignment.get(v, 0)) for v in self.vars)
-        return self.terms.get(key, zero)
+        if any(Fraction(e) != 0 for v, e in assignment.items() if v not in self.vars):
+            return zero
+        key = _numerators([Fraction(assignment.get(v, 0)) for v in self.vars], self.den)
+        return zero if key is None else self.terms.get(key, zero)
 
     def coefficient_in(self, var: str, e) -> "FracSeries":
         """The coefficient series of var^e (var removed from the result)."""
         e = Fraction(e)
         if var not in self.vars:
-            return self if e == 0 else self._of(self.ring, self.vars, {})
+            return self if e == 0 else self._of(self.ring, self.vars, {}, self.den)
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1 :]
-        out = {exps[:i] + exps[i + 1 :]: c for exps, c in self.terms.items() if exps[i] == e}
-        return self._of(self.ring, rest, out)
+        n = e * self.den
+        n = n.numerator if n.denominator == 1 else None  # off the lattice: no term
+        out = {key[:i] + key[i + 1 :]: c for key, c in self.terms.items() if key[i] == n}
+        return self._of(self.ring, rest, out, self.den)
 
     def exponents_of(self, var: str) -> set[Fraction]:
         if var not in self.vars:
             return {Fraction(0)} if self.terms else set()
         i = self.vars.index(var)
-        return {exps[i] for exps in self.terms}
+        return {Fraction(n, self.den) for n in {key[i] for key in self.terms}}
 
     # -- calculus ----------------------------------------------------------------
 
     def derivative(self, var: str) -> "FracSeries":
         if var not in self.vars:
-            return self._of(self.ring, self.vars, {})
-        i = self.vars.index(var)
+            return self._of(self.ring, self.vars, {}, self.den)
+        i, den = self.vars.index(var), self.den
         # e -> e - 1 is injective and c * e != 0 for a nonzero rational e
         out = {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: c * exps[i]
-            for exps, c in self.terms.items() if exps[i] != 0
+            key[:i] + (key[i] - den,) + key[i + 1 :]: c * Fraction(key[i], den)
+            for key, c in self.terms.items() if key[i]
         }
-        return self._of(self.ring, self.vars, out)
+        return self._of(self.ring, self.vars, out, den)
 
     # -- substitutions -------------------------------------------------------------
 
@@ -275,17 +298,22 @@ class FracSeries:
             raise CompositionDomainError(f"scale_exponents: {var} -> {var}^0 merges every power")
         if var not in self.vars:
             return self
-        i = self.vars.index(var)
-        terms = {exps[:i] + (exps[i] * factor,) + exps[i + 1 :]: c for exps, c in self.terms.items()}
-        return self._of(self.ring, self.vars, terms)
+        # var's numerator times p/q: over den * q, var's by p and the rest by q
+        p, q = factor.numerator, factor.denominator
+        mult = [q] * len(self.vars)
+        mult[self.vars.index(var)] = p
+        terms = {tuple(map(mul, key, mult)): c for key, c in self.terms.items()}
+        return self._of(self.ring, self.vars, terms, self.den * q)
 
     def shift_exponents(self, var: str, delta) -> "FracSeries":
         """Multiply by var^delta."""
         delta = Fraction(delta)
         s = self if var in self.vars else self.with_vars((var,))
+        den = lcm(s.den, delta.denominator)
+        d = delta.numerator * (den // delta.denominator)
         i = s.vars.index(var)
-        terms = {exps[:i] + (exps[i] + delta,) + exps[i + 1 :]: c for exps, c in s.terms.items()}
-        return s._of(s.ring, s.vars, terms)
+        terms = {key[:i] + (key[i] + d,) + key[i + 1 :]: c for key, c in s._terms_over(s.vars, den).items()}
+        return s._of(s.ring, s.vars, terms, den)
 
     def eta_twist(self, var: str, j: int) -> "FracSeries":
         """The substitution var^(1/k) -> eta^j var^(1/k) for the ring's k.
@@ -298,23 +326,23 @@ class FracSeries:
             return self
         i = self.vars.index(var)
         out = {}
-        for exps, c in self.terms.items():
-            km = exps[i] * k
-            if km.denominator != 1:
+        for key, c in self.terms.items():
+            km, r = divmod(key[i] * k, self.den)
+            if r:
                 raise CompositionDomainError(
-                    f"exponent {exps[i]} of {var} is off the (1/{k})Z lattice"
+                    f"exponent {Fraction(key[i], self.den)} of {var} is off the (1/{k})Z lattice"
                 )
-            out[exps] = c * self.ring.eta(j * int(km))
-        return self._of(self.ring, self.vars, out)
+            out[key] = c * self.ring.eta(j * km)
+        return self._of(self.ring, self.vars, out, self.den)
 
     def truncate(self, var: str, max_exp) -> "FracSeries":
         """Drop terms with var-exponent above max_exp."""
         if var not in self.vars:
             return self
         i = self.vars.index(var)
-        max_exp = Fraction(max_exp)
-        out = {exps: c for exps, c in self.terms.items() if exps[i] <= max_exp}
-        return self._of(self.ring, self.vars, out)
+        top = floor(Fraction(max_exp) * self.den)
+        out = {key: c for key, c in self.terms.items() if key[i] <= top}
+        return self._of(self.ring, self.vars, out, self.den)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
         """Substitute a whole series for var.  Only integer powers of var are
@@ -335,13 +363,13 @@ class FracSeries:
         rest = self.vars[:i] + self.vars[i + 1 :]
         # var^e groups: dropping the var-exponent is injective within a group
         groups: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e.denominator != 1:
+        for key, c in self.terms.items():
+            e, r = divmod(key[i], self.den)
+            if r:
                 raise CompositionDomainError(
-                    f"substitute: fractional power {e} of {var} unsupported"
+                    f"substitute: fractional power {Fraction(key[i], self.den)} of {var} unsupported"
                 )
-            groups.setdefault(int(e), {})[exps[:i] + exps[i + 1 :]] = c
+            groups.setdefault(e, {})[key[:i] + key[i + 1 :]] = c
         powers = {0: FracSeries.one(self.ring)}
         # step -> (repl or its inverse, the depth its powers are chained at)
         base = {1: (repl, trunc_order)}
@@ -359,7 +387,7 @@ class FracSeries:
                     near -= step
                 for m in range(near + step, e + step, step):
                     powers[m] = (powers[m - step] * factor).truncate(trunc_var, depth)
-            out = out + FracSeries._of(self.ring, rest, terms) * powers[e]
+            out = out + FracSeries._of(self.ring, rest, terms, self.den) * powers[e]
         return out.truncate(trunc_var, trunc_order)
 
     # -- rendering ----------------------------------------------------------------
@@ -368,8 +396,8 @@ class FracSeries:
         if not self.terms:
             return "0"
         bits = []
-        for exps, c in sorted(self.terms.items()):
-            bits.append(f"({c.render()})*{monomial_text(self.vars, exps)}")
+        for key, c in sorted(self.terms.items()):
+            bits.append(f"({c.render()})*{monomial_text(self.vars, key, self.den)}")
             if max_terms and len(bits) >= max_terms:
                 bits.append("...")
                 break
@@ -382,18 +410,6 @@ class FracSeries:
 # ---------------------------------------------------------------------------
 # series-level helpers (unit leading term)
 # ---------------------------------------------------------------------------
-
-
-def leading_term(s: FracSeries, var: str):
-    """The unique term of minimal var-exponent; error if tied."""
-    if not s.terms:
-        raise CompositionDomainError("leading term of zero series")
-    i = s.vars.index(var)
-    emin = min(exps[i] for exps in s.terms)
-    hits = [exps for exps in s.terms if exps[i] == emin]
-    if len(hits) != 1:
-        raise CompositionDomainError(f"leading {var}-term not unique: {hits}")
-    return hits[0], s.terms[hits[0]]
 
 
 def power_sum(seed, step, coeff, limit: int):
@@ -426,7 +442,7 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
     limit = 1
     if not r.is_zero():
         i = r.vars.index(trunc_var)
-        emin = min(exps[i] for exps in r.terms)
+        emin = Fraction(min(key[i] for key in r.terms), r.den)
         if emin <= 0:
             raise CompositionDomainError(f"{name} needs a tail of positive {trunc_var}-order")
         limit = int(Fraction(trunc_order) / emin) + 1
@@ -436,8 +452,15 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
 
 def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
     """1/s for s with a unique invertible leading monomial in trunc_var."""
-    lexps, lcoeff = leading_term(s, trunc_var)
-    lead_inv = FracSeries._of(s.ring, s.vars, {tuple(-e for e in lexps): lcoeff.invert()})
+    if not s.terms:
+        raise CompositionDomainError("leading term of zero series")
+    i = s.vars.index(trunc_var)
+    emin = min(key[i] for key in s.terms)
+    hits = [key for key in s.terms if key[i] == emin]
+    if len(hits) != 1:
+        shown = [monomial_text(s.vars, key, s.den) for key in hits]
+        raise CompositionDomainError(f"leading {trunc_var}-term not unique: {shown}")
+    lead_inv = FracSeries._of(s.ring, s.vars, {tuple(-n for n in hits[0]): s.terms[hits[0]].invert()}, s.den)
     r = lead_inv * s - FracSeries.one(s.ring)
     return lead_inv * _tail_power_sum(r, lambda j: (-1) ** j, trunc_var, trunc_order, "invert_series")
 
@@ -475,27 +498,8 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
     binomial convention.  The leading monomial must have coefficient 1 so that
     fractional exponents never need a root of its coefficient.
     """
-    exponent = Fraction(exponent)
-    lc, lexps = lead
-    tc, texps = tail
-    if not isinstance(tc, Scalar):
-        tc = ring.rational(tc)
-    if (isinstance(lc, Scalar) and lc != ring.one) or (not isinstance(lc, Scalar) and Fraction(lc) != 1):
-        raise ValueError("binom_expand: leading coefficient must be 1")
-    vars_ = tuple(sorted(set(lexps) | set(texps)))
-    lead_exps = [Fraction(lexps.get(v, 0)) for v in vars_]
-    tail_exps = [Fraction(texps.get(v, 0)) for v in vars_]
-    terms: dict[Key, Scalar] = {}
-    tpow = ring.one
-    for j in range(order + 1):
-        c = tpow * gbinom(exponent, j)
-        if not c.is_zero():
-            key = tuple(a * (exponent - j) + b * j for a, b in zip(lead_exps, tail_exps))
-            cur = terms.get(key)
-            terms[key] = c if cur is None else cur + c
-        tpow = tpow * tc
-    terms = {key: c for key, c in terms.items() if not c.is_zero()}
-    return FracSeries._of(ring, vars_, terms)
+    return _binomial_sum(ring, lead, tail, (1, {}), Fraction(exponent), Fraction(1), (0, 0), order,
+                         None, (1, {}))
 
 
 def delta_truncated(
@@ -522,38 +526,53 @@ def delta_truncated(
     `den` is a monomial with coefficient +-1; -1 needs integer net exponents.
     `phase(n)` (optional) multiplies the n-th term by a Scalar, e.g. eta^(jn).
     """
-    shift, step = Fraction(shift), Fraction(step)
+    return _binomial_sum(ring, lead, tail, den, Fraction(shift), Fraction(step), n_range, tail_order,
+                         phase, prefix)
+
+
+def _binomial_sum(ring, lead, tail, den, shift, step, n_range, tail_order, phase, prefix) -> FracSeries:
+    """delta_truncated, and binom_expand as its one n = 0 term: every (n, j)
+    term is added into one series over one common den."""
+    lc, tc = lead[0], tail[0]
+    if (isinstance(lc, Scalar) and lc != ring.one) or (not isinstance(lc, Scalar) and Fraction(lc) != 1):
+        raise ValueError("binom_expand: leading coefficient must be 1")
+    tc = tc if isinstance(tc, Scalar) else ring.rational(tc)
     dc, dexps = den
     if dc not in (1, -1):
         raise ValueError("delta denominator coefficient must be +-1")
     pc, pexps = prefix
     if not isinstance(pc, Scalar):
         pc = ring.rational(pc)
-    vars_, acc = (), {}
+    lexps, texps = lead[1], tail[1]
+    vars_ = tuple(sorted(set(lexps) | set(texps) | set(dexps) | set(pexps)))
+
+    def exps(m):
+        return [Fraction(m.get(v, 0)) for v in vars_]
+
+    # with e = n*step + shift, the (n, j) term sits at
+    # (lead - den)*e + prefix + j*(tail - lead)
+    net = [a - d for a, d in zip(exps(lexps), exps(dexps))]
+    rows = ([x * step for x in net], [x * shift + p for x, p in zip(net, exps(pexps))],
+            [b - a for a, b in zip(exps(lexps), exps(texps))])
+    lcm_den = lcm(*(x.denominator for row in rows for x in row))
+    nstep, base, jstep = (_numerators(row, lcm_den) for row in rows)
+    out = FracSeries._of(ring, vars_, {}, lcm_den)
     for n in range(n_range[0], n_range[1] + 1):
         e = n * step + shift
         if dc == -1 and e.denominator != 1:
             raise CompositionDomainError("(-mono)^fractional is ambiguous")
-        term = binom_expand(ring, lead, tail, e, tail_order)
-        # times den^(-e): the sign of (-1)^(-e) and the phase in one scale
-        for v, x in dexps.items():
-            term = term.shift_exponents(v, -Fraction(x) * e)
-        c = ring.rational(-1) if dc == -1 and e.numerator % 2 else ring.one
+        # the sign of (-1)^(-e) and the phase, as one factor (None: 1)
+        c = ring.rational(-1) if dc == -1 and e.numerator % 2 else None
         if phase is not None:
-            c = c * phase(n)
-        # every n-term has the vars of lead, tail and den
-        vars_ = term.vars
-        for key, t in term.scale(c).terms.items():
-            cur = acc.get(key)
-            s = t if cur is None else cur + t
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    out = FracSeries._of(ring, vars_, acc)
-    for v, x in pexps.items():
-        out = out.shift_exponents(v, x)
-    return out.scale(pc)
+            c = phase(n) if c is None else c * phase(n)
+        at_n = [b + n * s for b, s in zip(base, nstep)]
+        tpow = ring.one  # tc^j
+        for j in range(tail_order + 1):
+            t = tpow * gbinom(e, j)
+            if not t.is_zero():
+                out.add_at(tuple(b + j * s for b, s in zip(at_n, jstep)), t if c is None else t * c)
+            tpow = tpow * tc
+    return out if pc == ring.one else out.scale(pc)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +599,12 @@ class Window:
     def as_dict(self):
         return dict(self.bounds)
 
-    def contains(self, vars: tuple[str, ...], exps) -> bool:
+    def limits(self, vars: tuple[str, ...], den: int) -> list[tuple[int, int, int]]:
+        """(index into vars, ceil(lo*den), floor(hi*den)) of every bounded
+        variable: the box on keys of integer exponent numerators over den."""
         b = self.as_dict()
-        for v, e in zip(vars, exps):
-            if v in b:
-                lo, hi = b[v]
-                if not (lo <= e <= hi):
-                    return False
-        return True
+        return [(i, ceil(b[v][0] * den), floor(b[v][1] * den))
+                for i, v in enumerate(vars) if v in b]
 
     def render(self) -> str:
         return ",".join(f"{v}:[{lo},{hi}]" for v, (lo, hi) in self.bounds)
@@ -658,9 +675,10 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
     operands' keys inside the window, in sorted key order, the first key
     whose coefficients differ fails the report with the text
     mismatch(monomial text, coefficient of a, coefficient of b)."""
-    allvars, ta, tb = a._aligned(b)
-    keys = {key for key in ta if window.contains(allvars, key)}
-    keys.update(key for key in tb if window.contains(allvars, key))
+    allvars, den, ta, tb = a._aligned(b)
+    box = window.limits(allvars, den)
+    keys = {key for key in ta if all(lo <= key[i] <= hi for i, lo, hi in box)}
+    keys.update(key for key in tb if all(lo <= key[i] <= hi for i, lo, hi in box))
     zero = a.zero_coefficient(a.ring)
     for key in sorted(keys):
         ca = ta.get(key, zero)
@@ -671,7 +689,7 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
                 tuple(anchors),
                 window.render(),
                 "fail",
-                first_mismatch=mismatch(monomial_text(allvars, key), ca, cb),
+                first_mismatch=mismatch(monomial_text(allvars, key, den), ca, cb),
                 detail=detail,
                 k=k,
             )

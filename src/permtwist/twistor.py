@@ -213,12 +213,17 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
     if var not in bounds:
         raise ValueError(f"window must bound {var}")
     lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
-    out = VecSeries(ring, (var,))
-    for e, uJ in delta_apply(u).by_exponent():
+    dressed = delta_apply(u)
+    # x^(f/k + e) as an integer numerator over den, a multiple of k and of
+    # the dressing's den
+    den = math.lcm(k, dressed.den)
+    out = VecSeries._of(ring, (var,), {}, den)
+    for en, uJ in dressed.by_numerator(den):
+        e = Fr(en, den)
         f_lo = max(math.ceil(k * (lo - e)), min_exponent(uJ, target))
         f_hi = math.floor(k * (hi - e))
         for f in range(f_lo, f_hi + 1):
-            out.add_term((Fr(f, k) + e,), vertex_mode(uJ, -f - 1, target))
+            out.add_at((f * (den // k) + en,), vertex_mode(uJ, -f - 1, target))
     return out
 
 
@@ -474,9 +479,7 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> Che
             if e not in ypows:
                 ypows[e] = _root_diff_pow(ring, e, z0_hi)
             fs = (pref * ypows[e]).truncate("z0", z0_hi)
-            lift = VecSeries(ring, ("z", "z0"))
-            lift.add_term((Fr(0), Fr(0)), coeff_vec)
-            rhs = rhs + lift.mul_series(fs)
+            rhs = rhs + VecSeries(ring, ("z", "z0"), {(0, 0): coeff_vec}).mul_series(fs)
     win = Window.of(z0=(d_lo, z0_hi))  # z unconstrained: exact per z0-degree
     return vec_equal_on_window(
         lhs, rhs, win, "twisted.conjugation",
@@ -629,19 +632,22 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     band_lo = min(j[2] for j in live) + min(j[4] for j in live)
     band_hi = b0_max + d2_max
     inner = twisted_field(v, s2, w, Window.of(x2=(vflr - N, g2_hi)), var="x2")
-    prect: dict[tuple[Fr, Fr], Vec] = {}
+    columns = []
     for f2, ivec in sorted(inner.by_exponent()):
         y_lo = max(uflr - N, band_lo - f2)
         y_hi = min(g1_hi, band_hi - f2)
         if y_lo > y_hi or ivec.is_zero():
             continue
-        outer = ybar(u, ivec, Window.of(y=(y_lo, y_hi)), var="y")
-        for f1, res in outer.by_exponent():
-            prect[(f1, f2)] = res
+        columns.append((f2, ybar(u, ivec, Window.of(y=(y_lo, y_hi)), var="y")))
+    # P and Q are keyed by integer exponent numerators over one den; 1/k is r/den
+    den = math.lcm(k, inner.den, *(outer.den for _f2, outer in columns))
+    r = den // k
+    prect: dict[tuple[int, int], Vec] = {
+        (f1n, int(f2 * den)): res for f2, outer in columns for f1n, res in outer.by_numerator(den)}
     binN = [ring.rational(math.comb(N, l) * (-1) ** l) for l in range(N + 1)]
-    qcache: dict[tuple[Fr, Fr], Vec | None] = {}
+    qcache: dict[tuple[int, int], Vec | None] = {}
 
-    def qplain(g1: Fr, g2: Fr) -> Vec | None:
+    def qplain(g1: int, g2: int) -> Vec | None:
         # summed into a fresh vector: prect entries and cached results are
         # never mutated
         key = (g1, g2)
@@ -649,7 +655,7 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
             return qcache[key]
         acc = None
         for l in range(N + 1):
-            p = prect.get((g1 - N + l, g2 - l))
+            p = prect.get((g1 - (N - l) * den, g2 - l * den))
             if p is None:
                 continue
             if acc is None:
@@ -671,6 +677,7 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
         x2e = Fr(math.ceil(k * c2), k)
         while x2e <= d2:
             n_lo_c = max(n_lo_j, math.ceil(k * (vflr - 1 - x2e)))
+            x2n = int(x2e * den)
             for x0e in range(a0, b0 + 1):
                 i = x0e + N
                 if i < 0:
@@ -682,7 +689,7 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
                     cb = gbinom(Fr(n, k), i)
                     if cb == 0:
                         continue
-                    q = qplain(-1 - Fr(n, k) + i, x2e + Fr(n, k) + 1)
+                    q = qplain((i - 1) * den - n * r, x2n + n * r + den)
                     if q is None or q.is_zero():
                         continue
                     bucket = buckets.setdefault((-n) % k, Vec(ring))

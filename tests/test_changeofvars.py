@@ -129,6 +129,26 @@ def test_a1_a2_closed_forms(k):
     assert a[1] == F(k * k - 1, 12)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_table_prefixes_come_from_one_solve(k, monkeypatch):
+    import permtwist.changeofvars as cv
+
+    full = a_table(k, 8)
+    # the a_j do not depend on the order solved to
+    assert all(compute_a(k, m).rationals() == full[:m] for m in (1, 4))
+    solves = []
+    monkeypatch.setattr(cv, "compute_a", lambda *args: solves.append(args))
+    for m in range(9):
+        assert a_table(k, m) == full[:m]
+    assert solves == []
+
+
+def test_a_table_cache_is_bounded():
+    import permtwist.changeofvars as cv
+
+    assert cv._a_solved.cache_info().maxsize is not None
+
+
 def test_a_k2_values():
     assert a_table(2, 2) == (F(-1, 2), F(1, 4))
 
@@ -363,7 +383,7 @@ def test_rep_identity_check_fails_on_a_perturbed_odd_image(monkeypatch):
         img = rep_apply(ring, k, n, odd, trunc_order, forward)
         if forward and odd and n == 1:
             key = min(img.terms)  # lowest x-exponent, inside the window
-            img = img + FracSeries(ring, img.vars, {key: 1})
+            img = img + FracSeries(ring, img.vars, {tuple(F(n, img.den) for n in key): 1})
         return img
 
     monkeypatch.setattr(cv, "rep_apply", perturbed)

@@ -250,3 +250,14 @@ def test_rational_fast_path_matches_table_product(k):
         assert y * 3 == via_table(3)
         assert y * Fraction(2, 9) == via_table(Fraction(2, 9))
         assert 2 - y == (ring.rational(2) + eta) - (y + eta)
+
+
+def test_ring_caches_are_bounded():
+    assert get_ring.cache_info().maxsize is not None
+    assert cyclotomic_poly.cache_info().maxsize is not None
+    # a rebuilt ring mixes with scalars of an evicted one: rings compare by k
+    old_half = get_ring(3).rational(Fraction(1, 2))
+    get_ring.cache_clear()
+    assert get_ring(3) is not old_half.ring
+    assert old_half + get_ring(3).rational(Fraction(1, 2)) == get_ring(3).one
+

@@ -344,8 +344,9 @@ def _on_x(plain, f):
 def _assert_canonical(s, cls):
     assert type(s) is cls
     assert s.vars == tuple(sorted(s.vars))
-    for exps, c in s.terms.items():
-        assert type(exps) is tuple and len(exps) == len(s.vars) and all(type(e) is Fr for e in exps)
+    assert type(s.den) is int and s.den > 0
+    for key, c in s.terms.items():
+        assert type(key) is tuple and len(key) == len(s.vars) and all(type(n) is int for n in key)
         assert not c.is_zero()
 
 
@@ -381,8 +382,46 @@ def test_zero_divisor_products_are_dropped():
     g = ring.eta(1) + ring.eta(4) - ring.eta(2) - ring.eta(3)
     a = mono(ring, ring.sqrt_k() - g, {"x": Fr(1, 5)})
     b = mono(ring, ring.sqrt_k() + g, {"x": 1}) + mono(ring, 1, {"x": 2})
-    assert (a * b).terms == {(Fr(11, 5),): ring.sqrt_k() - g}
+    ab = a * b
+    assert len(ab.terms) == 1 and ab.coefficient({"x": Fr(11, 5)}) == ring.sqrt_k() - g
     assert a.scale(ring.sqrt_k() + g).is_zero()
+
+
+def test_add_term_off_the_lattice_refines_den_and_keeps_earlier_terms():
+    s = FracSeries(R1, ("x", "y"), {(1, 2): 3, (Fr(-1, 2), 0): 5})
+    assert s.den == 2
+    s.add_term((Fr(1, 3), Fr(-2, 3)), R1.rational(7))
+    assert s.den == 6
+    assert s.coefficient({"x": 1, "y": 2}) == R1.rational(3)
+    assert s.coefficient({"x": Fr(-1, 2)}) == R1.rational(5)
+    assert s.coefficient({"x": Fr(1, 3), "y": Fr(-2, 3)}) == R1.rational(7)
+    assert s == FracSeries(R1, ("x", "y"), {(1, 2): 3, (Fr(-1, 2), 0): 5, (Fr(1, 3), Fr(-2, 3)): 7})
+    # on the lattice the den stays, and a zero sum drops the term
+    s.add_term((1, 2), R1.rational(-3))
+    assert s.den == 6 and s.coefficient({"x": 1, "y": 2}).is_zero() and len(s.terms) == 2
+    _assert_canonical(s, FracSeries)
+
+
+def test_window_limits_at_negative_fractional_bounds():
+    w = Window.of(x=(Fr(-5, 3), Fr(7, 2)), z=(Fr(-1, 4), Fr(-1, 5)))
+    # over den 6: ceil(-10) = -10 and floor(21) = 21; z: ceil(-3/2), floor(-6/5)
+    assert w.limits(("x", "y", "z"), 6) == [(0, -10, 21), (2, -1, -2)]
+    assert w.limits(("x",), 4) == [(0, -6, 14)]  # ceil(-20/3), floor(14)
+    # the limits keep exactly the keys of the window
+    s = FracSeries(R1, ("x",), {(Fr(n, 6),): 1 for n in range(-14, 26)})
+    kept = {e for e, _c in s.truncate("x", Fr(7, 2)).by_exponent() if e >= Fr(-5, 3)}
+    assert kept == {Fr(n, 6) for n in range(-10, 22)}
+    vs = VecSeries(R1, ("x",), {(Fr(n, 6),): Vec.basis(R1, ()) for n in range(-14, 26)})
+    assert {e for e, _v in vs.truncate_window(w).by_exponent()} == kept
+
+
+def test_exponents_read_back_as_fractions():
+    s = FracSeries(R1, ("x", "y"), {(Fr(1, 2), 2): 1, (Fr(-4, 3), 0): 2})
+    assert s.exponents_of("x") == {Fr(1, 2), Fr(-4, 3)}
+    assert all(type(e) is Fr for e in s.exponents_of("x") | s.exponents_of("y"))
+    one_var = s.coefficient_in("y", 0)
+    assert list(one_var.by_exponent()) == [(Fr(-4, 3), R1.rational(2))]
+    assert all(type(e) is Fr for e, _c in mono(R1, 1, {"x": 3}).by_exponent())
 
 
 # -- the four delta identities ------------------------------------------------

@@ -34,7 +34,6 @@ from .twistor import (
     obstruction_report,
     supercommutator_check,
     twisted_field,
-    twisted_iterate,
     twisted_jacobi_check,
     twisted_mode,
     untwist,
@@ -77,7 +76,6 @@ __all__ = [
     "obstruction_report",
     "supercommutator_check",
     "twisted_field",
-    "twisted_iterate",
     "twisted_jacobi_check",
     "twisted_mode",
     "untwist",

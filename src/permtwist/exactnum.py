@@ -1,7 +1,6 @@
 """Exact coefficient arithmetic: rationals extended by sqrt(k) and a k-th root of unity.
 
-Every series coefficient and module-vector entry downstream lives in the
-commutative ring
+Every scalar series coefficient downstream lives in the commutative ring
 
     Q[t, s] / (Phi_k(t), s^2 - k)
 
@@ -18,9 +17,14 @@ positive integer denominator, with gcd(numerators, denominator) == 1 and zero
 stored as all-zero numerators over 1.  Values are immutable and normalized
 eagerly, so structural equality equals ring equality.  Phi_k is monic, so the
 product of two basis monomials is an integer combination of basis monomials;
-each ring tabulates these once, and a product is integer multiply-adds over
-the nonzero slot pairs followed by one gcd.  A product with a rational operand
-(only the constant slot nonzero) scales the other operand's numerators instead.
+each ring tabulates these once (`ScalarRing.table`), and a product is integer
+multiply-adds over the nonzero slot pairs followed by one gcd.  A product with
+a rational operand (only the constant slot nonzero) scales the other
+operand's numerators instead.
+
+Module vectors (`fermion.Vec`) do not hold Scalars: they store integer
+numerators per basis slot and reach the field only through `table` and
+`Scalar.rows`, the same integers in transposed form.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 import math
 from operator import add, neg, sub
-import re
 
 Rat = Fraction
 
@@ -113,7 +116,7 @@ class ScalarRing:
             return tuple((eps * deg + b, scale * c) for b, c in enumerate(tpow[m1 + m2]) if c)
 
         # slot i * slot j -> ((slot, integer coefficient), ...)
-        self._table = tuple(tuple(slot_product(i, j) for j in range(2 * deg)) for i in range(2 * deg))
+        self.table = tuple(tuple(slot_product(i, j) for j in range(2 * deg)) for i in range(2 * deg))
         self._zeros = (0,) * (2 * deg - 1)  # every slot but the constant one
         self.zero = Scalar(self, (0,) + self._zeros, 1, True)
         self.one = Scalar(self, (1,) + self._zeros, 1, True)
@@ -126,6 +129,10 @@ class ScalarRing:
         if not isinstance(q, Fraction):
             q = Fraction(q)
         return Scalar(self, (q.numerator,) + self._zeros, q.denominator, True)
+
+    def from_numerators(self, num, den: int) -> Scalar:
+        """The scalar with slot numerators num over den > 0, in lowest terms."""
+        return _reduced(self, num, den)
 
     def _slot(self, i: int) -> Scalar:
         """The basis monomial of slot i."""
@@ -193,7 +200,7 @@ class Scalar:
     basis slot) over the denominator `den`, in lowest terms.  `rat` is true
     exactly when only the constant slot is nonzero."""
 
-    __slots__ = ("ring", "num", "den", "rat", "_hash")
+    __slots__ = ("ring", "num", "den", "rat", "_hash", "_rows")
 
     def __init__(self, ring: ScalarRing, num: tuple[int, ...], den: int = 1, rat: bool | None = None):
         self.ring = ring
@@ -201,6 +208,25 @@ class Scalar:
         self.den = den
         self.rat = not any(num[1:]) if rat is None else rat
         self._hash = None
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple:
+        """Multiplication by num (the numerators, not over den) as integer
+        rows: rows[i] lists the (slot, multiplier) pairs of basis slot i times
+        num, zeros left out.  Built once per scalar."""
+        if self._rows is None:
+            table = self.ring.table
+            rows = []
+            for i in range(len(self.num)):
+                row: dict[int, int] = {}
+                for j, b in enumerate(self.num):
+                    if b:
+                        for slot, c in table[i][j]:
+                            row[slot] = row.get(slot, 0) + b * c
+                rows.append(tuple((slot, c) for slot, c in row.items() if c))
+            self._rows = tuple(rows)
+        return self._rows
 
     # -- ring structure --------------------------------------------------------
 
@@ -248,7 +274,7 @@ class Scalar:
             return other._scale(self.num[0], self.den)
         if other.rat:
             return self._scale(other.num[0], other.den)
-        table = self.ring._table
+        table = self.ring.table
         out = [0] * len(self.num)
         right = [(j, b) for j, b in enumerate(other.num) if b]
         for i, a in enumerate(self.num):
@@ -313,7 +339,7 @@ class Scalar:
 
     def render(self) -> str:
         """Canonical text form: '*'-joined monomials 'q', 'q*s', 'q*t^m', 'q*s*t^m',
-        summed with ' + ' / ' - '.  Parsed back by parse_scalar."""
+        summed with ' + ' / ' - '."""
         if self.is_zero():
             return "0"
         parts = []
@@ -340,36 +366,3 @@ class Scalar:
     def __repr__(self):
         return f"<{self.render()} : k={self.ring.k}>"
 
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?P<s>s)?(?:\*?t(?:\^(?P<m>\d+))?)?$"
-)
-
-
-def parse_scalar(ring: ScalarRing, text: str) -> Scalar:
-    """Parse the grammar emitted by Scalar.render."""
-    text = text.strip()
-    if text == "0":
-        return ring.zero
-    # split on top-level ' + ' / ' - ' (no parentheses in the grammar)
-    out = ring.zero
-    for signed in re.finditer(r"([+-]?)\s*([^+\-\s][^+\-]*)", text.replace(" - ", " + -")):
-        neg = signed.group(1) == "-"
-        chunk = signed.group(2).strip()
-        if chunk.startswith("-"):
-            neg = not neg
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ValueError(f"cannot parse scalar term {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if neg:
-            coeff = -coeff
-        term = ring.rational(coeff)
-        if m.group("s"):
-            term = term * ring.sqrt_k()
-        if "t" in chunk:
-            power = int(m.group("m")) if m.group("m") else 1
-            term = term * ring.eta(power)
-        out = out + term
-    return out

@@ -173,7 +173,7 @@ def char_twisted(k: int, cutoff, *, anomaly: bool = True, a_override=None) -> QS
     for key in standard_basis(max(top, Fr(0))):
         w = Vec.basis(ring, key)
         got = act.apply(w).scale(k)
-        if set(got.terms) - {key}:
+        if set(got.keys()) - {key}:
             raise ArithmeticError(f"grading mode not diagonal on {key}: {got.render()}")
         diag = got.terms.get(key)
         if diag is not None and not diag.is_rational():

@@ -55,7 +55,6 @@ from .fseries import (
     FracSeries,
     Window,
     binom_expand,
-    gbinom,
     inverse_factorial,
     power_sum,
     unit_pow,
@@ -77,8 +76,6 @@ __all__ = [
     "conjugation_check",
     "supercommutator_check",
     "supercommutator_factor_witness",
-    "twisted_iterate",
-    "iterate_vs_modes_check",
     "twisted_jacobi_check",
     "twisted_jacobi_eigen_check",
     "untwist",
@@ -117,14 +114,6 @@ class ObstructionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _weight_split(u: Vec) -> list[tuple[Fr, Vec]]:
-    """The homogeneous components of u, by ascending weight."""
-    comps: dict[Fr, Vec] = {}
-    for key, c in u.terms.items():
-        comps.setdefault(key_weight(key), Vec(u.ring)).terms[key] = c
-    return sorted(comps.items())
-
-
 def _a_coeffs(k: int, depth: int, a_override) -> tuple[Fr, ...]:
     base = a_table(k, max(depth, 2))
     if a_override is None:
@@ -137,9 +126,9 @@ def _flow_step(c: list, vec: Vec) -> Vec:
     """sum_j c[j-1] L(j) vec.  L(j) lowers the weight by j, so j runs only up
     to the maximum weight of vec."""
     out = Vec(vec.ring)
-    for j, cj in enumerate(c[: int(vec.max_weight())], start=1):
-        if not cj.is_zero():
-            out.accumulate(virasoro_mode(j, vec).terms.items(), cj)
+    for j, cj in enumerate(c[: vec.max_twice_weight() // 2], start=1):
+        if cj:
+            out.add_scaled(virasoro_mode(j, vec), cj)
     return out
 
 
@@ -156,16 +145,17 @@ def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None
     k = ring.k
     sign = -1 if invert else 1
     out = VecSeries(ring, (var,))
-    for p, comp in _weight_split(u):
-        depth = int(p)
-        c = [ring.rational(sign * a) for a in _a_coeffs(k, depth, a_override)[:depth]]
+    # p2 and q2 are twice the weights p and q
+    for p2, comp in u.weight_components():
+        depth = p2 // 2
+        c = [sign * a for a in _a_coeffs(k, depth, a_override)[:depth]]
         # the flow ends after at most depth weight-lowering steps
         flowed = power_sum(comp, partial(_flow_step, c), inverse_factorial, depth + 1)
-        for q, vec in reversed(_weight_split(flowed)):
+        for q2, vec in reversed(flowed.weight_components()):
             if invert:
-                out.add_term((q - Fr(p, k),), vec * ring.sqrt_k_pow(int(2 * q)))
+                out.add_term((Fr(q2 * k - p2, 2 * k),), vec * ring.sqrt_k_pow(q2))
             else:
-                out.add_term((q / k - p,), vec * ring.sqrt_k_pow(int(-2 * p)))
+                out.add_term((Fr(q2 - p2 * k, 2 * k),), vec * ring.sqrt_k_pow(-p2))
     return out
 
 
@@ -282,7 +272,7 @@ class ModeAction:
     def apply(self, w: Vec) -> Vec:
         out = Vec(w.ring)
         for vec, n in self.terms:
-            out = out + vertex_mode(vec, n, w)
+            out.add_scaled(vertex_mode(vec, n, w))
         return out
 
     def is_zero(self) -> bool:
@@ -644,7 +634,7 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     r = den // k
     prect: dict[tuple[int, int], Vec] = {
         (f1n, int(f2 * den)): res for f2, outer in columns for f1n, res in outer.by_numerator(den)}
-    binN = [ring.rational(math.comb(N, l) * (-1) ** l) for l in range(N + 1)]
+    binN = [math.comb(N, l) * (-1) ** l for l in range(N + 1)]
     qcache: dict[tuple[int, int], Vec | None] = {}
 
     def qplain(g1: int, g2: int) -> Vec | None:
@@ -660,10 +650,13 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
                 continue
             if acc is None:
                 acc = Vec(ring)
-            acc.accumulate(p.terms.items(), binN[l])
+            acc.add_scaled(p, binN[l])
         qcache[key] = acc
         return acc
 
+    # C(n/k, i) (-1)^i over the den k^i i! of every n: binrows[i][n - n_lo_g]
+    # is the int numerator (-1)^i n (n-k) ... (n-(i-1)k)
+    binrows: dict[int, list[int]] = {}
     for ci, combo, a0, b0, c2, d2 in live:
         # phase of each n-class: eta^{(slot-1) k f1} with k f1 = -n mod k
         ph_tab = []
@@ -672,6 +665,8 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
             for c, slot in combo:
                 ph = ph + c * ring.eta(((slot - 1) * cls) % k)
             ph_tab.append(ph)
+        # ... times the binomial den 1/(k^i i!), per i
+        ph_by_i: dict[int, list] = {}
         n_lo_j = math.ceil(k * (vflr - 1 - d2))
         n_hi_j = math.floor(k * (b0 + N - 1 - uflr))
         x2e = Fr(math.ceil(k * c2), k)
@@ -683,55 +678,29 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
                 if i < 0:
                     continue
                 n_hi_c = min(n_hi_j, math.floor(k * (i - 1 - uflr)))
+                if i not in binrows:
+                    binrows[i] = [(-1) ** i * math.prod(range(n, n - i * k, -k))
+                                  for n in range(n_lo_g, n_hi_g + 1)]
+                row = binrows[i]
                 buckets: dict[int, Vec] = {}
-                sgn = Fr((-1) ** (i % 2))
                 for n in range(n_lo_c, n_hi_c + 1):
-                    cb = gbinom(Fr(n, k), i)
-                    if cb == 0:
+                    cb = row[n - n_lo_g]
+                    if not cb:
                         continue
                     q = qplain((i - 1) * den - n * r, x2n + n * r + den)
                     if q is None or q.is_zero():
                         continue
                     bucket = buckets.setdefault((-n) % k, Vec(ring))
-                    bucket.accumulate(q.terms.items(), ring.rational(cb * sgn))
+                    bucket.add_scaled(q, cb)
+                if i not in ph_by_i:
+                    inv = Fr(1, k**i * math.factorial(i))
+                    ph_by_i[i] = [ph * inv for ph in ph_tab]
                 acc = Vec(ring)
                 for cls, vecsum in buckets.items():
-                    acc.accumulate(vecsum.terms.items(), ph_tab[cls])
-                out[ci].add_term((Fr(x0e), x2e), acc)
+                    acc.add_scaled(vecsum, ph_by_i[i][cls])
+                out[ci].add_term((Fr(x0e), x2e), acc.reduce())
             x2e += Fr(1, k)
     return out
-
-
-def twisted_iterate(u: Vec, su: int, v: Vec, sv: int, w: Vec,
-                    x0_range, x2_range, *, N: int | None = None) -> VecSeries:
-    """Yg(Y(u-in-slot-su, x0) v-in-slot-sv, x2) w on the rectangle, by the
-    locality-regularized residue form (never materializing two-slot states).
-
-    x0 exponents are integral (plain modes of the two-slot product state);
-    x2 runs on the (1/k)Z lattice.  N defaults to one past the deepest
-    nonvanishing same-slot product mode; any larger N gives the same answer
-    (checked in the tests), which is the regularization being well-defined.
-    """
-    if N is None:
-        N = max(1, -min_exponent(u, v))
-    job = (((w.ring.one, su),), x0_range, x2_range)
-    return _iterate_shared(u, [job], v, sv, w, N)[0]
-
-
-def iterate_vs_modes_check(u: Vec, v: Vec, w: Vec, *, slot: int = 1,
-                           x0_range=(-3, 1), x2_range=(-1, 1)) -> CheckReport:
-    """Same-slot iterate == the mode-by-mode sum over plain products:
-
-      Yg(Y(u^s, x0) v^s, x2) w == sum_{e0} x0^{e0} Yg((u_{-e0-1} v)^s, x2) w
-    """
-    got = twisted_iterate(u, slot, v, slot, w, x0_range, x2_range)
-    want = iterate_modesum(_slot_field(slot), u, v, w, x0_range, x2_range)
-    box = Window.of(x0=x0_range, x2=x2_range)
-    return vec_equal_on_window(
-        got, want, box, "twisted.iterate-vs-modes",
-        anchors=("Yg(Y(u^s,x0)v^s,x2)w == sum_e0 x0^e0 Yg((u_(-e0-1)v)^s,x2)w",),
-        k=w.ring.k,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1027,7 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:
         down = Vec.basis(ring, key)
         for a in key:  # deepest letter first: annihilate psi_a via psi_{-1-a}
             down = twisted_mode(psi, Fr(-2 * a - k - 1, 2 * k)).apply(down)
-        if down.is_zero() or set(down.terms) != {()}:
+        if down.is_zero() or set(down.keys()) != {()}:
             return CheckReport(
                 "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
                 win.render(), "fail",
@@ -1068,7 +1037,7 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:
         up = vac_vec(ring)
         for a in reversed(key):
             up = twisted_mode(psi, Fr(2 * a + 1 - k, 2 * k)).apply(up)
-        if up.is_zero() or set(up.terms) != {key}:
+        if up.is_zero() or set(up.keys()) != {key}:
             return CheckReport(
                 "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
                 win.render(), "fail",

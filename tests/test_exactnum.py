@@ -1,5 +1,6 @@
 """Ring-level sanity for the exact scalar ring Q[t,s]/(Phi_k(t), s^2-k)."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,44 @@ from permtwist.exactnum import (
     RingMismatchError,
     Scalar,
     cyclotomic_poly,
+    ScalarRing,
     get_ring,
-    parse_scalar,
 )
+
+
+# the grammar of Scalar.render, read back: only these tests parse scalars
+_TERM_RE = re.compile(
+    r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?P<s>s)?(?:\*?t(?:\^(?P<m>\d+))?)?$"
+)
+
+
+def parse_scalar(ring: ScalarRing, text: str) -> Scalar:
+    """Parse the grammar emitted by Scalar.render."""
+    text = text.strip()
+    if text == "0":
+        return ring.zero
+    # split on top-level ' + ' / ' - ' (no parentheses in the grammar)
+    out = ring.zero
+    for signed in re.finditer(r"([+-]?)\s*([^+\-\s][^+\-]*)", text.replace(" - ", " + -")):
+        neg = signed.group(1) == "-"
+        chunk = signed.group(2).strip()
+        if chunk.startswith("-"):
+            neg = not neg
+            chunk = chunk[1:].strip()
+        m = _TERM_RE.match(chunk)
+        if not m or not chunk:
+            raise ValueError(f"cannot parse scalar term {chunk!r}")
+        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        if neg:
+            coeff = -coeff
+        term = ring.rational(coeff)
+        if m.group("s"):
+            term = term * ring.sqrt_k()
+        if "t" in chunk:
+            power = int(m.group("m")) if m.group("m") else 1
+            term = term * ring.eta(power)
+        out = out + term
+    return out
 
 
 def test_cyclotomic_small_cases():

@@ -14,23 +14,18 @@ from permtwist.fermion import (
     VecSeries,
     _mode_single,
     _mode_tensor,
-    clifford_apply,
     clifford_apply_state,
-    eigenprojection,
     graded_dims,
     iterate_modesum,
     iterate_side,
     jacobi_products,
     key_parity,
     key_weight,
-    l_derivative_check,
     min_exponent,
     omega_vec,
-    permute,
     psi_vec,
     render_key,
     render_state,
-    skew_symmetry_check,
     slot_embed,
     standard_basis,
     state_weight,
@@ -42,12 +37,92 @@ from permtwist.fermion import (
     vec_equal_on_window,
     vertex_mode,
     vertex_op,
-    virasoro_bracket_check,
     virasoro_mode,
 )
-from permtwist.fseries import FracSeries, Window, assert_equal_on_window, gbinom
+from permtwist.fseries import CheckReport, FracSeries, Window, assert_equal_on_window, gbinom
+
+from oracles import clifford_apply, eigenprojection, permute
 
 R1 = get_ring(1)
+
+
+# ---------------------------------------------------------------------------
+# untwisted axiom checks, read only by these tests
+# ---------------------------------------------------------------------------
+
+
+def skew_symmetry_check(u: Vec, v: Vec, hi: int = 6) -> CheckReport:
+    """Y(u,x)v == (-1)^{|u||v|} exp(x L(-1)) Y(v,-x)u, coefficientwise."""
+    ring = u.ring
+    lo = min(min_exponent(u, v), min_exponent(v, u))
+    win = Window.of(x=(lo, hi))
+    lhs = vertex_op(u, v, win)
+    eps = (-1) ** (u.parity() * v.parity())
+    rhs = VecSeries(ring, ("x",))
+    for e in range(lo, hi + 1):
+        acc = Vec(ring)
+        fact = F(1)
+        for m in range(0, e - lo + 1):
+            if m:
+                fact /= m
+            inner = vertex_mode(v, -(e - m) - 1, u).scale(F((-1) ** (e - m)))
+            cur = inner
+            for _ in range(m):
+                cur = virasoro_mode(-1, cur)
+            acc = acc + cur.scale(fact * eps)
+        rhs.add_term((F(e),), acc)
+    return vec_equal_on_window(
+        lhs, rhs, win, "untwisted.skew",
+        anchors=("Y(u,x)v == (-1)^|u||v| exp(x L(-1)) Y(v,-x)u",), k=ring.k,
+    )
+
+
+def l_derivative_check(u: Vec, target: Vec, hi: int = 5) -> CheckReport:
+    """Y(L(-1)u, x) == d/dx Y(u, x) applied to target."""
+    ring = u.ring
+    lo = min_exponent(u, target) - 2
+    win = Window.of(x=(lo, hi))
+    lhs = vertex_op(virasoro_mode(-1, u), target, win)
+    rhs = vertex_op(u, target, Window.of(x=(lo, hi + 1))).derivative("x").truncate_window(win)
+    return vec_equal_on_window(
+        lhs, rhs, win, "untwisted.l-minus-one",
+        anchors=("Y(L(-1)u,x) == d/dx Y(u,x)",), k=ring.k,
+    )
+
+
+def virasoro_bracket_check(max_weight=4, m_range=(-3, 3), k_slots: int | None = None) -> CheckReport:
+    """[L(m), L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c, with c = 1/2
+    per slot, on every basis state up to the weight cutoff."""
+    ring = get_ring(1) if k_slots is None else get_ring(k_slots)
+    keys = standard_basis(max_weight) if k_slots is None else tensor_basis(k_slots, max_weight)
+    c_total = F(1, 2) * (1 if k_slots is None else k_slots)
+    win = Window.of(m=(m_range[0], m_range[1]))
+    for key in keys:
+        w = Vec.basis(ring, key)
+        for m in range(m_range[0], m_range[1] + 1):
+            for n in range(m_range[0], m_range[1] + 1):
+                lhs = virasoro_mode(m, virasoro_mode(n, w)) - virasoro_mode(n, virasoro_mode(m, w))
+                rhs = virasoro_mode(m + n, w).scale(F(m - n))
+                if m + n == 0:
+                    rhs = rhs + w.scale(F(m**3 - m, 12) * c_total)
+                if lhs != rhs:
+                    return CheckReport(
+                        "untwisted.virasoro-bracket",
+                        ("[L(m),L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c",),
+                        win.render(),
+                        "fail",
+                        first_mismatch=f"m={m}, n={n} on {render_key(key)}: "
+                        f"{(lhs - rhs).render()}",
+                        k=ring.k,
+                    )
+    return CheckReport(
+        "untwisted.virasoro-bracket",
+        ("[L(m),L(n)] == (m-n)L(m+n) + (m^3-m)/12 delta_{m+n,0} c",),
+        win.render(),
+        "pass",
+        detail=f"central charge {c_total}, basis cutoff weight {max_weight}",
+        k=ring.k,
+    )
 
 
 def _psi2_vec(ring):

@@ -180,7 +180,8 @@ def _reduced(ring: ScalarRing, num, den: int) -> "Scalar":
 
 def _add(a: "Scalar", b, op) -> "Scalar":
     """op(a, b) for op in {add, sub}, over the lcm of the two denominators."""
-    if isinstance(b, (int, Fraction)):
+    # the exact type test first: isinstance against Fraction runs the ABC hook
+    if type(b) is not Scalar and isinstance(b, (int, Fraction)):
         b = a.ring.rational(b)
     a._check(b)
     da, db = a.den, b.den
@@ -265,10 +266,11 @@ class Scalar:
         return Scalar(self.ring, tuple(c // h * p for c in num), den, False)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scale(other, 1)
-        if isinstance(other, Fraction):
-            return self._scale(other.numerator, other.denominator)
+        if type(other) is not Scalar:  # as in _add: no ABC hook for a Scalar
+            if isinstance(other, int):
+                return self._scale(other, 1)
+            if isinstance(other, Fraction):
+                return self._scale(other.numerator, other.denominator)
         self._check(other)
         if self.rat:
             return other._scale(self.num[0], self.den)

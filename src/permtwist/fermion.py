@@ -408,14 +408,23 @@ def _mode_single(u: State, n: int, v: State):
 
     i.e. the normal-ordered product of the m-th divided-power derivative of
     the generator field with Y(a, x), with the Koszul sign on the
-    annihilation half.  Base case: vacuum modes are delta_{N,-1} id.  Every
-    coefficient is an integer and none depends on k: the table is shared by
-    all twist orders and enters the scalar ring only in vertex_mode.
+    annihilation half.  Base cases: vacuum modes are delta_{N,-1} id, and a
+    single generator is one Clifford mode, Y(psi_{-m-1}|0>, x) = d^(m) psi(x),
+    so u_N = C(-r-1, m) psi_r with r = N - m (the one nonzero term of either
+    half).  Every coefficient is an integer and none depends on k: the table
+    is shared by all twist orders and enters the scalar ring only in
+    vertex_mode.
     """
     if not u:
         return ((v, 1),) if n == -1 else ()
     a1, rest = u[0], u[1:]
     m = -a1 - 1
+    if not rest:
+        r = n - m
+        # C(-r-1, m) at the negative integer -r-1 is (-1)^m C(m+r, m)
+        cmb = math.comb(-r - 1, m) if r < 0 else (-1) ** m * math.comb(m + r, m)
+        hit = clifford_apply_state(r, v) if cmb else None
+        return () if hit is None else ((hit[1], hit[0] * cmb),)
     out: dict = {}
     # creation half: psi_r after a rest-mode
     qm = _q_max(_twice_weight(rest) + _twice_weight(v))
@@ -535,14 +544,18 @@ class VecSeries(FracSeries):
         rows = list(a.items())
         acc: dict = {}
         for sint, c in b.items():
+            # the box shifted by this scalar term: bounds on vint itself
+            bounds = [(i, lo - sint[i], hi - sint[i]) for i, lo, hi in limits]
             for vint, vec in rows:
-                if any(not lo <= vint[i] + sint[i] <= hi for i, lo, hi in limits):
-                    continue
-                key = tuple(map(add, vint, sint))
-                cur = acc.get(key)
-                if cur is None:
-                    cur = acc[key] = Vec(self.ring)
-                cur.add_scaled(vec, c)
+                for i, lo, hi in bounds:
+                    if not lo <= vint[i] <= hi:
+                        break
+                else:
+                    key = tuple(map(add, vint, sint))
+                    cur = acc.get(key)
+                    if cur is None:
+                        cur = acc[key] = Vec(self.ring)
+                    cur.add_scaled(vec, c)
         terms = {key: vec.reduce() for key, vec in acc.items() if not vec.is_zero()}
         return self._of(self.ring, allvars, terms, den)
 

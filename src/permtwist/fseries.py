@@ -703,6 +703,23 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
 X0, X1, X2 = "x0", "x1", "x2"
 
 
+def _delta_x2(ring: ScalarRing, N: int, n_range, **kw) -> FracSeries:
+    """x2^-1 d((x1-x0)/x2) in nonnegative powers of x0 through x0^N; kw are
+    delta_truncated's shift and step."""
+    return delta_truncated(ring, (1, {X1: 1}), (-1, {X0: 1}), (1, {X2: 1}), n_range=n_range,
+                           tail_order=N, prefix=(1, {X2: -1}), **kw)
+
+
+def _delta_x1(ring: ScalarRing, N: int, n_range, **kw) -> FracSeries:
+    """x1^-1 d((x2+x0)/x1), likewise."""
+    return delta_truncated(ring, (1, {X2: 1}), (1, {X0: 1}), (1, {X1: 1}), n_range=n_range,
+                           tail_order=N, prefix=(1, {X1: -1}), **kw)
+
+
+def _x0_half_box(N: int) -> Window:
+    return Window.of(x0=(0, N), x1=(-N, N), x2=(-N, N))
+
+
 def delta_two_sided_check(ring: ScalarRing, r, N: int = 4) -> CheckReport:
     """x2^-1 ((x1-x0)/x2)^r d((x1-x0)/x2)  =  x1^-1 ((x2+x0)/x1)^-r d((x2+x0)/x1).
 
@@ -712,31 +729,8 @@ def delta_two_sided_check(ring: ScalarRing, r, N: int = 4) -> CheckReport:
     """
     r = Fraction(r)
     n_range = (-N - 3, N + 3)
-    lhs = delta_truncated(
-        ring,
-        (1, {X1: 1}),
-        (-1, {X0: 1}),
-        (1, {X2: 1}),
-        shift=r,
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X2: -1}),
-    )
-    rhs = delta_truncated(
-        ring,
-        (1, {X2: 1}),
-        (1, {X0: 1}),
-        (1, {X1: 1}),
-        shift=-r,
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X1: -1}),
-    )
-    w = Window.of(x0=(0, N), x1=(-N, N), x2=(-N, N))
     return assert_equal_on_window(
-        lhs,
-        rhs,
-        w,
+        _delta_x2(ring, N, n_range, shift=r), _delta_x1(ring, N, n_range, shift=-r), _x0_half_box(N),
         identity="delta.two-sided-binomial",
         anchors=(
             "x2^-1 ((x1-x0)/x2)^r d((x1-x0)/x2) = x1^-1 ((x2+x0)/x1)^-r d((x2+x0)/x1)",
@@ -752,32 +746,11 @@ def delta_root_average_check(ring: ScalarRing, N: int = 4) -> CheckReport:
     n_range = (-N - 3, N + 3)
     lhs = None
     for p in range(k):
-        piece = delta_truncated(
-            ring,
-            (1, {X1: 1}),
-            (-1, {X0: 1}),
-            (1, {X2: 1}),
-            shift=Fraction(p, k),
-            n_range=n_range,
-            tail_order=N,
-            prefix=(1, {X2: -1}),
-        )
+        piece = _delta_x2(ring, N, n_range, shift=Fraction(p, k))
         lhs = piece if lhs is None else lhs + piece
-    rhs = delta_truncated(
-        ring,
-        (1, {X1: 1}),
-        (-1, {X0: 1}),
-        (1, {X2: 1}),
-        step=Fraction(1, k),
-        n_range=(k * n_range[0], k * n_range[1] + k - 1),
-        tail_order=N,
-        prefix=(1, {X2: -1}),
-    )
-    w = Window.of(x0=(0, N), x1=(-N, N), x2=(-N, N))
+    rhs = _delta_x2(ring, N, (k * n_range[0], k * n_range[1] + k - 1), step=Fraction(1, k))
     return assert_equal_on_window(
-        lhs,
-        rhs,
-        w,
+        lhs, rhs, _x0_half_box(N),
         identity="delta.root-average",
         anchors=(
             "sum_{p=0}^{k-1} ((x1-x0)/x2)^(p/k) x2^-1 d((x1-x0)/x2) = x2^-1 d((x1-x0)^(1/k)/x2^(1/k))",
@@ -790,31 +763,9 @@ def delta_root_swap_check(ring: ScalarRing, N: int = 4) -> CheckReport:
     """x2^-1 d((x1-x0)^(1/k)/x2^(1/k)) = x1^-1 d((x2+x0)^(1/k)/x1^(1/k))."""
     k = ring.k
     n_range = (-k * (N + 3), k * (N + 3))
-    lhs = delta_truncated(
-        ring,
-        (1, {X1: 1}),
-        (-1, {X0: 1}),
-        (1, {X2: 1}),
-        step=Fraction(1, k),
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X2: -1}),
-    )
-    rhs = delta_truncated(
-        ring,
-        (1, {X2: 1}),
-        (1, {X0: 1}),
-        (1, {X1: 1}),
-        step=Fraction(1, k),
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X1: -1}),
-    )
-    w = Window.of(x0=(0, N), x1=(-N, N), x2=(-N, N))
+    step = Fraction(1, k)
     return assert_equal_on_window(
-        lhs,
-        rhs,
-        w,
+        _delta_x2(ring, N, n_range, step=step), _delta_x1(ring, N, n_range, step=step), _x0_half_box(N),
         identity="delta.root-swap",
         anchors=("x2^-1 d((x1-x0)^(1/k)/x2^(1/k)) = x1^-1 d((x2+x0)^(1/k)/x1^(1/k))",),
         k=k,
@@ -824,42 +775,17 @@ def delta_root_swap_check(ring: ScalarRing, N: int = 4) -> CheckReport:
 def delta_three_term_check(ring: ScalarRing, N: int = 4) -> CheckReport:
     """x0^-1 d((x1-x2)/x0) - x0^-1 d((x2-x1)/-x0) = x2^-1 d((x1-x0)/x2)."""
     n_range = (-N - 3, N + 3)
-    t1 = delta_truncated(
-        ring,
-        (1, {X1: 1}),
-        (-1, {X2: 1}),
-        (1, {X0: 1}),
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X0: -1}),
-    )
-    t2 = delta_truncated(
-        ring,
-        (1, {X2: 1}),
-        (-1, {X1: 1}),
-        (-1, {X0: 1}),
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X0: -1}),
-    )
-    rhs = delta_truncated(
-        ring,
-        (1, {X1: 1}),
-        (-1, {X0: 1}),
-        (1, {X2: 1}),
-        n_range=n_range,
-        tail_order=N,
-        prefix=(1, {X2: -1}),
-    )
+    t1 = delta_truncated(ring, (1, {X1: 1}), (-1, {X2: 1}), (1, {X0: 1}), n_range=n_range,
+                         tail_order=N, prefix=(1, {X0: -1}))
+    t2 = delta_truncated(ring, (1, {X2: 1}), (-1, {X1: 1}), (-1, {X0: 1}), n_range=n_range,
+                         tail_order=N, prefix=(1, {X0: -1}))
+    rhs = _delta_x2(ring, N, n_range)
     # Trusted box: the two left terms expand in x2 resp. x1, the right side in
     # x0; every key with all of |e0|,|e1|,|e2| <= N is term-locked within the
     # built ranges on whichever side carries it, so the full box is trusted.
     w = Window.of(x0=(-N, N), x1=(-N, N), x2=(-N, N))
-    lhs = t1 - t2
     return assert_equal_on_window(
-        lhs,
-        rhs,
-        w,
+        t1 - t2, rhs, w,
         identity="delta.three-term",
         anchors=("x0^-1 d((x1-x2)/x0) - x0^-1 d((x2-x1)/-x0) = x2^-1 d((x1-x0)/x2)",),
         k=ring.k,

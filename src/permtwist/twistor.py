@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
-from functools import partial
+from functools import lru_cache, partial
 
 from .changeofvars import a_table
 from .exactnum import ScalarRing, get_ring
@@ -37,6 +37,7 @@ from .fermion import (
     iterate_side,
     jacobi_products,
     key_parity,
+    key_twice_weight,
     key_weight,
     min_exponent,
     omega_vec,
@@ -132,6 +133,26 @@ def _flow_step(c: list, vec: Vec) -> Vec:
     return out
 
 
+@lru_cache(maxsize=2**12)  # bounded; a sweep pass dresses about a hundred keys
+def _dress_key(key, k: int, invert: bool, a_override) -> tuple:
+    """The dressing of one basis key (coefficient 1), as delta_apply below
+    describes it: ((x-exponent numerator over 2k, bucket Vec), ...) by
+    descending bucket weight.  a_override is a tuple of Fractions or None.
+    The buckets are read by delta_apply only, never handed out or mutated.
+    """
+    ring = get_ring(k)
+    p2 = key_twice_weight(key)  # p2 and q2 are twice the weights p and q
+    depth = p2 // 2
+    sign = -1 if invert else 1
+    c = [sign * a for a in _a_coeffs(k, depth, a_override)[:depth]]
+    # the flow ends after at most depth weight-lowering steps
+    flowed = power_sum(Vec.basis(ring, key), partial(_flow_step, c), inverse_factorial, depth + 1)
+    comps = reversed(flowed.weight_components())
+    if invert:
+        return tuple((q2 * k - p2, vec * ring.sqrt_k_pow(q2)) for q2, vec in comps)
+    return tuple((q2 - p2 * k, vec * ring.sqrt_k_pow(-p2)) for q2, vec in comps)
+
+
 def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None) -> VecSeries:
     """The dressing operator D(x) (or its inverse) applied to u.
 
@@ -140,22 +161,30 @@ def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None
     J = p - q bucket.  Forward: scalar k^{-p}, the part lands at x^{q/k - p}.
     Inverse: the flow with opposite sign, then the scalar k^q, at x^{q - p/k}.
     The two compose to the identity.
+
+    The dressing is linear: each basis key is dressed once, by the bounded
+    cache _dress_key, and u's buckets are its coefficients times those,
+    summed into fresh vectors.
     """
     ring = u.ring
     k = ring.k
-    sign = -1 if invert else 1
-    out = VecSeries(ring, (var,))
-    # p2 and q2 are twice the weights p and q
-    for p2, comp in u.weight_components():
-        depth = p2 // 2
-        c = [sign * a for a in _a_coeffs(k, depth, a_override)[:depth]]
-        # the flow ends after at most depth weight-lowering steps
-        flowed = power_sum(comp, partial(_flow_step, c), inverse_factorial, depth + 1)
-        for q2, vec in reversed(flowed.weight_components()):
-            if invert:
-                out.add_term((Fr(q2 * k - p2, 2 * k),), vec * ring.sqrt_k_pow(q2))
-            else:
-                out.add_term((Fr(q2 - p2 * k, 2 * k),), vec * ring.sqrt_k_pow(-p2))
+    over = None if a_override is None else tuple(map(Fr, a_override))
+    # (twice the source weight, exponent numerator over 2k) -> bucket
+    acc: dict[tuple[int, int], Vec] = {}
+    for key, c in u.terms.items():
+        p2 = key_twice_weight(key)
+        for en, bucket in _dress_key(key, k, invert, over):
+            cur = acc.get((p2, en))
+            if cur is None:
+                cur = acc[p2, en] = Vec(ring)
+            cur.add_scaled(bucket, c)
+    # by ascending source weight, then descending bucket weight, as the flow
+    # yields them; buckets of two source weights may share an exponent
+    live = sorted((pe for pe, vec in acc.items() if not vec.is_zero()), key=lambda pe: (pe[0], -pe[1]))
+    g = math.gcd(2 * k, *(en for _p2, en in live))
+    out = VecSeries._of(ring, (var,), {}, 2 * k // g)
+    for pe in live:
+        out.add_at((pe[1] // g,), acc[pe])
     return out
 
 
@@ -231,10 +260,17 @@ def _slot_field(slot: int):
 
 
 def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSeries:
-    """Field of a formal combination: parts is ((coeff, state, slot), ...)."""
+    """Field of a formal combination: parts is ((coeff, state, slot), ...).
+
+    The slot-1 field of each distinct state is built once; each part applies
+    its slot phase and coefficient to that finished series."""
+    fields: list[tuple[Vec, VecSeries]] = []
     out = VecSeries(target.ring, (var,))
     for c, state, slot in parts:
-        out = out + twisted_field(state, slot, target, window, var=var).scale(c)
+        base = next((f for s, f in fields if s == state), None)
+        if base is None:
+            fields.append((state, base := ybar(state, target, window, var=var)))
+        out = out + base.eta_twist(var, slot - 1).scale(c)
     return out
 
 

@@ -1,6 +1,7 @@
 """Independent oracles shared by the tests: the Clifford action, the cyclic
-permutation action and its eigenprojections, and per-key Scalar arithmetic
-on module vectors.
+permutation action and its eigenprojections, per-key Scalar arithmetic on
+module vectors, and the vertex-mode recursion with only the vacuum as its
+base case.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -9,9 +10,17 @@ slot dicts, so the two can be compared on random vectors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Fr
 
-from permtwist.fermion import Vec, _mode_on_key, clifford_apply_state, is_tensor_key
+from permtwist.fermion import (
+    Vec,
+    _mode_on_key,
+    _q_max,
+    _twice_weight,
+    clifford_apply_state,
+    is_tensor_key,
+)
 
 # ---------------------------------------------------------------------------
 # Clifford action
@@ -27,6 +36,36 @@ def clifford_apply(a: int, target: Vec) -> Vec:
             sign, new = hit
             out.add_scaled(Vec.basis(target.ring, new, c), sign)
     return out
+
+
+def mode_single_by_vacuum(u: tuple, n: int, v: tuple) -> dict:
+    """u_n v as {state: int}, by the normal-ordered recursion of
+    fermion._mode_single down to the vacuum alone: a single generator runs
+    both halves, against the vacuum modes delta_{N,-1} id.  Uncached."""
+    if not u:
+        return {v: 1} if n == -1 else {}
+    a1, rest = u[0], u[1:]
+    m = -a1 - 1
+    out: dict = {}
+    qm = _q_max(_twice_weight(rest) + _twice_weight(v))
+    r = -1
+    while n - r - m - 1 <= qm:
+        cmb = math.comb(-r - 1, m)
+        if cmb:
+            for s, c in mode_single_by_vacuum(rest, n - r - m - 1, v).items():
+                hit = clifford_apply_state(r, s)
+                if hit is not None:
+                    sign, new = hit
+                    out[new] = out.get(new, 0) + sign * cmb * c
+        r -= 1
+    par = (-1) ** (len(rest) % 2)
+    for b in v:
+        r = -1 - b
+        sign, stripped = clifford_apply_state(r, v)
+        f = par * sign * (-1) ** m * math.comb(m - b - 1, m)
+        for s, c in mode_single_by_vacuum(rest, n - r - m - 1, stripped).items():
+            out[s] = out.get(s, 0) + f * c
+    return {s: c for s, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

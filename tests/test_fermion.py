@@ -41,7 +41,7 @@ from permtwist.fermion import (
 )
 from permtwist.fseries import CheckReport, FracSeries, Window, assert_equal_on_window, gbinom
 
-from oracles import clifford_apply, eigenprojection, permute
+from oracles import clifford_apply, eigenprojection, mode_single_by_vacuum, permute
 
 R1 = get_ring(1)
 
@@ -281,6 +281,25 @@ def test_mode_tables_are_integer_sorted_and_zero_free():
 def test_mode_caches_are_bounded():
     for table in (_mode_single, _mode_tensor):
         assert table.cache_info().maxsize >= 2**18
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_single_generator_base_case_equals_vacuum_recursion(m):
+    # the closed form for u = psi_{-m-1}|0> against the two-halves recursion
+    for v in standard_basis(4):
+        for n in range(-8, 9):
+            assert dict(_mode_single((-m - 1,), n, v)) == mode_single_by_vacuum((-m - 1,), n, v), (n, v)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_single_generator_modes_obey_l_minus_one(m):
+    # L(-1) psi_{-m-1}|0> = (m+1) psi_{-m-2}|0> and Y(L(-1)u, x) = d/dx Y(u, x):
+    # (m+1) (psi_{-m-2})_n v = -n (psi_{-m-1})_{n-1} v
+    for v in standard_basis(4):
+        for n in range(-8, 9):
+            lhs = {s: (m + 1) * c for s, c in _mode_single((-m - 2,), n, v)}
+            rhs = {s: -n * c for s, c in _mode_single((-m - 1,), n - 1, v) if n}
+            assert lhs == rhs, (n, v)
 
 
 @pytest.mark.parametrize("b", range(-8, 0))

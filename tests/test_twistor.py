@@ -26,8 +26,10 @@ from permtwist.fermion import (
     virasoro_mode,
 )
 from permtwist.fseries import CheckReport, Window, delta_truncated, gbinom
+from permtwist import twistor
 from permtwist.twistor import (
     ObstructionError,
+    _dress_key,
     _iterate_shared,
     _slot_field,
     conjugation_check,
@@ -56,6 +58,10 @@ from permtwist.twistor import (
 R1 = get_ring(1)
 R2 = get_ring(2)
 R3 = get_ring(3)
+
+# a perturbed flow whose a_2 is off the (1/3)Z lattice; the same tuple is the
+# conjugation negative control of the benchmark sweep
+BAD_A_OFF_LATTICE = (F(-1), F(2, 3) + F(1, 7), F(-2, 3), F(7, 9), F(-26, 27))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +162,41 @@ def test_dressing_exponent_bookkeeping():
     for e in delta_apply(u).exponents_of("x"):
         j = p - (e + p) * 3  # invert the exponent map
         assert j == int(j) and 0 <= j <= 1  # weight can drop at most to 1/2
+
+
+def _eta_combination(ring, powers: dict) -> Vec:
+    """sum eta^p key over the (key, p) items of powers."""
+    return Vec(ring, {key: ring.eta(p) for key, p in powers.items()})
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("invert", [False, True])
+def test_dressing_is_linear_over_keys(k, invert):
+    # each key is dressed once through the cache; a sum of keys with field
+    # coefficients must still dress to the sum of their dressings, with keys
+    # shared by a and b and several keys of one weight
+    ring = get_ring(k)
+    pairs = [
+        ({(-1,): 1, (-2, -1): 2}, {(-3,): k - 1, (-2, -1): 0}),
+        ({(-2,): 1, (-3, -1): 3}, {(-2, -1): 2, (-4,): 1}),
+        ({(-3, -2, -1): 1, (-1,): 0}, {(-4, -1): 2, (-3, -2): k - 2}),
+    ]
+    for pa, pb in pairs:
+        a, b = _eta_combination(ring, pa), _eta_combination(ring, pb)
+        want = delta_apply(a, invert=invert) + delta_apply(b, invert=invert)
+        assert delta_apply(a + b, invert=invert) == want
+    # cancellation: a + (-a) dresses to the zero series
+    assert delta_apply(a + (-a), invert=invert).is_zero()
+
+
+def test_dressing_override_does_not_leak_through_the_cache():
+    # the perturbed and the true flow are cached apart, whichever runs first
+    u, v = psi_vec(R3), Vec.basis(R3, (-1,))
+    for order in ((BAD_A_OFF_LATTICE, None), (None, BAD_A_OFF_LATTICE)):
+        _dress_key.cache_clear()
+        for over in order:
+            rep = conjugation_check(u, v, a_override=over)
+            assert rep.status == ("pass" if over is None else "fail"), (order, over)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +335,7 @@ def test_conjugation_identity(k):
 
 def test_conjugation_negative_control():
     # a perturbed flow coefficient must break the identity
-    bad = (F(-1), F(2, 3) + F(1, 7), F(-2, 3), F(7, 9), F(-26, 27))
-    rep = conjugation_check(psi_vec(R3), Vec.basis(R3, (-1,)), a_override=bad)
+    rep = conjugation_check(psi_vec(R3), Vec.basis(R3, (-1,)), a_override=BAD_A_OFF_LATTICE)
     assert rep.status == "fail"
     assert rep.first_mismatch is not None
 
@@ -321,6 +361,30 @@ def test_supercommutator_k3():
     ]:
         rep = supercommutator_check(u, v, w)
         assert rep.status == "pass", rep.first_mismatch
+
+
+def test_supercommutator_leaves_cached_dressings_unchanged(monkeypatch):
+    # record the cached buckets the bracket checks read, then run them again:
+    # the same cached objects come back, with the same integers.  The second
+    # case dresses two keys of one weight, whose buckets meet at one exponent.
+    seen = {}
+
+    def recording(*args):
+        seen[args] = out = _dress_key(*args)
+        return out
+
+    om, psi, vac = omega_vec(R3), psi_vec(R3), vac_vec(R3)
+    cases = [(om, om, vac), (Vec(R3, {(-4, -1): 1, (-3, -2): R3.eta(1)}), psi, vac)]
+    monkeypatch.setattr(twistor, "_dress_key", recording)
+    for u, v, w in cases:
+        supercommutator_check(u, v, w)
+    monkeypatch.undo()
+    snap = {args: [(en, vec.den, vec.copy().slots) for en, vec in out] for args, out in seen.items()}
+    for u, v, w in cases:
+        assert supercommutator_check(u, v, w).status == "pass"
+    for args, out in seen.items():
+        assert _dress_key(*args) is out
+        assert [(en, vec.den, vec.slots) for en, vec in out] == snap[args], args
 
 
 def test_supercommutator_fractional_factor_is_load_bearing_k2():

@@ -191,8 +191,6 @@ def solve_exp_coeffs(
         a0_sqrt = unit_pow(a0, Fr(1, 2), trunc[0], trunc[1])
     elif c == f.ring.one:
         a0_sqrt = f.ring.one
-    elif c.is_rational() and c.as_rational() == f.ring.k:
-        a0_sqrt = f.ring.sqrt_k()
     if collapse:
         a0c = _maybe_scalar(a0)
         a0 = a0c if a0c is not None else a0

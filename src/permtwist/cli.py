@@ -24,7 +24,6 @@ from .fermion import Vec, omega_vec, psi_vec, standard_basis, vac_vec
 from .fseries import CheckReport, delta_identity_checks
 from .qchar import char_plain, char_twisted, corollary_check, evidence_even, tensor_power_check
 from .twistor import (
-    ObstructionError,
     conjugation_check,
     delta_roundtrip_check,
     invariant_subspace_scan,
@@ -292,25 +291,19 @@ def cmd_char(args) -> int:
     if fracs is None:
         return 2
     (cutoff,) = fracs
-    status = 0
     for k in sorted(_parse_ks(args.k)):
         if k % 2 == 0:
             rep = evidence_even(k, cutoff)
             print(json.dumps({"check": "char", **rep.to_json()}))
             continue
         plain = char_plain(cutoff)
-        try:
-            tw = char_twisted(k, cutoff)
-        except ObstructionError as exc:  # unreachable for odd k; defensive
-            print(json.dumps({"check": "char", "k": k, "status": "fail", "detail": str(exc)}))
-            status = 1
-            continue
+        tw = char_twisted(k, cutoff)
         print(json.dumps({
             "check": "char", "k": k,
             "plain": [[str(e), c] for e, c in plain.terms()],
             "twisted": [[str(e), c] for e, c in tw.terms()],
         }))
-    return status
+    return 0
 
 
 def cmd_check(args) -> int:

@@ -614,17 +614,25 @@ def vertex_op(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
 # ---------------------------------------------------------------------------
 
 
-def two_sided(field, u, v, w: Vec, win1, win2, vars) -> VecSeries:
-    """field(u, v1) field(v, v2) w on the rectangle win1 x win2 (each entry exact).
+def two_sided(field, u, v, w: Vec, win1, win2, vars, band) -> VecSeries:
+    """field(u, v1) field(v, v2) w on the rectangle win1 x win2, each x2-column
+    built only across the band lo <= f1 + f2 <= hi its caller reads (each
+    entry exact).
 
     field(state, target, window, var) is a one-variable field complete on its
     window, such as vertex_op; u and v are whatever it takes as its state.
     """
     v1, v2 = vars
+    lo, hi = band
     if not (win1[0] <= win1[1] and win2[0] <= win2[1]):
         return VecSeries(w.ring, vars)
     inner = field(v, w, Window.of(**{v2: win2}), v2)
-    cols = [(n2, field(u, vec, Window.of(**{v1: win1}), v1)) for n2, vec in inner.by_numerator(inner.den)]
+    cols = []
+    for n2, vec in inner.by_numerator(inner.den):
+        f2 = Fr(n2, inner.den)
+        a, b = max(win1[0], lo - f2), min(win1[1], hi - f2)
+        if a <= b:
+            cols.append((n2, field(u, vec, Window.of(**{v1: (a, b)}), v1)))
     # every (f1, f2) is one term: keyed by int numerators over a common den,
     # in sorted variable order
     den = math.lcm(inner.den, *(outer.den for _n2, outer in cols))
@@ -665,8 +673,10 @@ def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
     F is field (as in two_sided) and floors = (lowest exponent of F(u,.)w,
     lowest exponent of F(v,.)w).  The x0-exponent of the n-th delta term is
     -n-1, so n runs over [-h0-1, -l0-1]; each binomial tail reaches down to
-    the inner field's floor, and the outer field's rectangle reaches as high
-    as the deepest tail term needs, so every box coefficient is exact.
+    the inner field's floor (only to the largest n when every n >= 0), and
+    the outer field's rectangle reaches as high as the deepest tail term
+    needs, so every box coefficient is exact.  The n-th term moves f1 + f2
+    by n: the rectangle is built only on the band that can reach the box.
     """
     b = box.as_dict()
     l0, h0 = int(b["x0"][0]), int(b["x0"][1])
@@ -675,8 +685,11 @@ def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
                                     ("x2", "x1", v, u, floors[0], -1)):
         (lp, hp), (lq, hq) = b[p], b[q]
         tail = math.floor(hq - floor)
+        if h0 < 0:
+            tail = min(tail, -l0 - 1)
         rect = two_sided(
-            field, a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq), (p, q)
+            field, a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq), (p, q),
+            (lp + lq + l0 + 1, hp + hq + h0 + 1),
         )
         delta = delta_truncated(
             w.ring, (1, {p: 1}), (-1, {q: 1}), (sign, {"x0": 1}),
@@ -720,12 +733,41 @@ def iterate_side(ring: ScalarRing, build, box: Window, e0, *, step=1, shift=0, s
     return out
 
 
-def untwisted_jacobi_check(
-    u: Vec,
-    v: Vec,
-    w: Vec,
-    box: Window | None = None,
-) -> CheckReport:
+def state_parity(state) -> int:
+    """|u| of a field state (a Vec, or parts ((coeff, Vec, slot), ...)); every
+    Koszul sign reads it here.  A mixed state raises ValueError naming it."""
+    vecs = (state,) if isinstance(state, Vec) else tuple(vec for _c, vec, _slot in state)
+    ps = {vec.parity() for vec in vecs}
+    if len(ps) != 1 or None in ps:
+        raise ValueError(f"state {' + '.join(vec.render() for vec in vecs)} is not parity-homogeneous")
+    return ps.pop()
+
+
+def jacobi_check(field, u, v, w: Vec, box: Window, floors, legs, identity: str, anchors) -> CheckReport:
+    """The Jacobi identity of a field on one target, coefficientwise on the box:
+
+      x0^-1 d((x1-x2)/x0) F(u,x1)F(v,x2)w - (-1)^{|u||v|} x0^-1 d((x2-x1)/-x0) F(v,x2)F(u,x1)w
+        == the sum over legs of iterate_side(build, e0, **delta)
+
+    The product side is jacobi_products (field and floors as there); each leg
+    is (build, e0, delta) with delta the keywords of iterate_side.  A box
+    without x0 asks for the x0^-1 coefficient, the supercommutator
+    [F(u,x1), F(v,x2)] w: both sides are built on x0 = -1 (delta index
+    n = 0), shifted back to x0^0 and compared on the (x1, x2) box.
+    """
+    eps = (-1) ** (state_parity(u) * state_parity(v))
+    bracket = "x0" not in box.as_dict()
+    full = Window.of(x0=(-1, -1), **box.as_dict()) if bracket else box
+    lhs = jacobi_products(field, u, v, w, full, floors, eps)
+    rhs = VecSeries(w.ring, ("x0", "x1", "x2"))
+    for build, e0, delta in legs:
+        rhs = rhs + iterate_side(w.ring, build, full, e0, **delta)
+    if bracket:
+        lhs, rhs = lhs.shift_exponents("x0", 1), rhs.shift_exponents("x0", 1)
+    return vec_equal_on_window(lhs, rhs, box, identity, anchors=anchors, k=w.ring.k)
+
+
+def untwisted_jacobi_check(u: Vec, v: Vec, w: Vec, box: Window | None = None) -> CheckReport:
     """Brute-force Jacobi identity on one target vector:
 
       x0^-1 d((x1-x2)/x0) Y(u,x1)Y(v,x2)w
@@ -738,21 +780,10 @@ def untwisted_jacobi_check(
     """
     if box is None:
         box = Window.of(x0=(-3, 3), x1=(-3, 3), x2=(-3, 3))
-    eps = (-1) ** (u.parity() * v.parity())
-    floors = (Fr(min_exponent(u, w)), Fr(min_exponent(v, w)))
-    lhs = jacobi_products(vertex_op, u, v, w, box, floors, eps)
-    rhs = iterate_side(
-        w.ring, lambda r0, r2: [iterate_modesum(vertex_op, u, v, w, r0, r2)],
-        box, min_exponent(u, v),
-    )
-    return vec_equal_on_window(
-        lhs,
-        rhs,
-        box,
+    return jacobi_check(
+        vertex_op, u, v, w, box, (min_exponent(u, w), min_exponent(v, w)),
+        [(lambda r0, r2: [iterate_modesum(vertex_op, u, v, w, r0, r2)], min_exponent(u, v), {})],
         "untwisted.jacobi",
-        anchors=(
-            "x0^-1 d((x1-x2)/x0) Y(u,x1)Y(v,x2)w - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Y(v,x2)Y(u,x1)w"
-            " == x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v,x2)w",
-        ),
-        k=w.ring.k,
+        ("x0^-1 d((x1-x2)/x0) Y(u,x1)Y(v,x2)w - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Y(v,x2)Y(u,x1)w"
+         " == x2^-1 d((x1-x0)/x2) Y(Y(u,x0)v,x2)w",),
     )

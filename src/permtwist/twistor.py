@@ -34,8 +34,7 @@ from .fermion import (
     Vec,
     VecSeries,
     iterate_modesum,
-    iterate_side,
-    jacobi_products,
+    jacobi_check,
     key_parity,
     key_twice_weight,
     key_weight,
@@ -43,6 +42,7 @@ from .fermion import (
     omega_vec,
     psi_vec,
     standard_basis,
+    state_parity,
     two_sided,
     vac_vec,
     vec_equal_on_window,
@@ -241,6 +241,8 @@ def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
         e = Fr(en, den)
         f_lo = max(math.ceil(k * (lo - e)), min_exponent(uJ, target))
         f_hi = math.floor(k * (hi - e))
+        if not uJ.max_twice_weight():  # Y(|0>, x) is the identity: only f = 0
+            f_lo, f_hi = max(f_lo, 0), min(f_hi, 0)
         for f in range(f_lo, f_hi + 1):
             out.add_at((f * (den // k) + en,), vertex_mode(uJ, -f - 1, target))
     return out
@@ -375,12 +377,14 @@ def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2) -> CheckReport:
     """
     ring = get_ring(k)
     gens = (psi_vec(ring), omega_vec(ring))
-    window = Window.of(m=(-m_span, m_span))
+    report = partial(CheckReport, "twisted.mode-grading",
+                     ("u^g_m maps weight n to weight n + k(wt u - m - 1), parity + |u|",),
+                     Window.of(m=(-m_span, m_span)).render(), k=k)
     for key in standard_basis(max_weight):
         w = Vec.basis(ring, key)
         wwt, wpar = key_weight(key), key_parity(key)
         for u in gens:
-            p, par = u.weight(), u.parity()
+            p, par = u.weight(), state_parity(u)
             for km in range(-m_span * k, m_span * k + 1):
                 m = Fr(km, k)
                 res = twisted_mode(u, m).apply(w)
@@ -388,22 +392,9 @@ def mode_grading_check(k: int, *, max_weight=2, m_span: int = 2) -> CheckReport:
                     continue
                 expect = wwt + k * (p - m - 1)
                 if res.weight() != expect or res.parity() != (wpar + par) % 2:
-                    return CheckReport(
-                        "twisted.mode-grading",
-                        ("u^g_m maps weight n to weight n + k(wt u - m - 1), parity + |u|",),
-                        window.render(),
-                        "fail",
-                        first_mismatch=f"u={u.render()}, m={m}, w={w.render()}: got {res.render()}",
-                        k=k,
-                    )
-    return CheckReport(
-        "twisted.mode-grading",
-        ("u^g_m maps weight n to weight n + k(wt u - m - 1), parity + |u|",),
-        window.render(),
-        "pass",
-        detail=f"generators psi, omega on basis through weight {max_weight}",
-        k=k,
-    )
+                    return report("fail",
+                                  first_mismatch=f"u={u.render()}, m={m}, w={w.render()}: got {res.render()}")
+    return report("pass", detail=f"generators psi, omega on basis through weight {max_weight}")
 
 
 def lg0_check(k: int, *, max_weight=3) -> CheckReport:
@@ -517,37 +508,8 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> Che
 
 
 # ---------------------------------------------------------------------------
-# bracket of two twisted fields (residue pairing, exact on a box)
+# bracket of two twisted fields: the x0^-1 slice of the Jacobi identity
 # ---------------------------------------------------------------------------
-
-
-def _bracket_check(apply_field, u: Vec, v: Vec, w: Vec, box: Window, *,
-                   offset: Fr, den: int, rhs_scale: Fr, identity: str,
-                   anchors, k: int) -> CheckReport:
-    """Shared engine: [F(u,x1), F(v,x2)] w (super-bracket) against
-
-      rhs_scale * sum_{m>=0} sum_n C(n/den+offset, m)(-1)^m
-          x1^{n/den+offset-m} x2^{-n/den-offset-1} F(u_m v, x2) w
-
-    which is the x0^-1 coefficient of the Jacobi iterate side: the step-1/den
-    delta, dressed by the offset exponent, paired with the iterate on the box
-    x0 = -1, where the x0^m term of (x1-x0)^r meets F(u_m v, x2) w at
-    x0^{-m-1}.  Only m >= 0 reach x0^-1: the residue kills the creation half.
-    Exact coefficientwise on the box.
-    """
-    b = box.as_dict()
-    p12 = two_sided(apply_field, u, v, w, b["x1"], b["x2"], ("x1", "x2"))
-    p21 = two_sided(apply_field, v, u, w, b["x2"], b["x1"], ("x2", "x1"))
-    eps = (-1) ** (u.parity() * v.parity())
-    lhs = p12 - p21 if eps == 1 else p12 + p21
-    rhs = iterate_side(
-        w.ring, lambda r0, r2: [iterate_modesum(apply_field, u, v, w, r0, r2)],
-        Window.of(x0=(-1, -1), x1=b["x1"], x2=b["x2"]), min_exponent(u, v),
-        step=Fr(1, den), shift=offset, scale=rhs_scale,
-    )
-    return vec_equal_on_window(
-        lhs, rhs.shift_exponents("x0", 1), box, identity, anchors=anchors, k=k
-    )
 
 
 def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
@@ -558,22 +520,21 @@ def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
     beta = |u|(1-k)/2k, folded here into the delta exponents n/k + beta; for
     odd k beta is a multiple of 1/k (reabsorbed by shifting n), for even k and
     odd u it is a genuine half-step off the lattice.  drop_factor omits it.
+    The bracket is the x0^-1 slice of jacobi_check (a box without x0).
     """
-    ring = w.ring
-    k = ring.k
+    k = w.ring.k
     if box is None:
         box = Window.of(x1=(-2, 2), x2=(-2, 2))
-    beta = Fr(0) if drop_factor else Fr(u.parity() * (1 - k), 2 * k)
+    beta = Fr(0) if drop_factor else Fr(state_parity(u) * (1 - k), 2 * k)
     field = lambda s, t, win, var: ybar(s, t, win, var=var)  # noqa: E731
     tag = "no dressing" if drop_factor else f"dressing exponent beta={beta}"
-    return _bracket_check(
-        apply_field=field, u=u, v=v, w=w, box=box, offset=beta, den=k,
-        rhs_scale=Fr(1, k), identity="twisted.supercommutator",
-        anchors=(
-            "[Ybar(u,x1),Ybar(v,x2)]w == (1/k) Res_x0 x2^-1 d((x1-x0)^(1/k)/x2^(1/k))"
-            " ((x1-x0)/x2)^(|u|(1-k)/2k) Ybar(Y(u,x0)v,x2)w [" + tag + "]",
-        ),
-        k=k,
+    return jacobi_check(
+        field, u, v, w, box, (twisted_floor(u, w), twisted_floor(v, w)),
+        [(lambda r0, r2: [iterate_modesum(field, u, v, w, r0, r2)], min_exponent(u, v),
+          {"step": Fr(1, k), "shift": beta, "scale": Fr(1, k)})],
+        "twisted.supercommutator",
+        ("[Ybar(u,x1),Ybar(v,x2)]w == (1/k) Res_x0 x2^-1 d((x1-x0)^(1/k)/x2^(1/k))"
+         " ((x1-x0)/x2)^(|u|(1-k)/2k) Ybar(Y(u,x0)v,x2)w [" + tag + "]",),
     )
 
 
@@ -584,7 +545,7 @@ def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = 
     reports the witnessing monomial.
     """
     k = w.ring.k
-    beta = Fr(u.parity() * (1 - k), 2 * k)
+    beta = Fr(state_parity(u) * (1 - k), 2 * k)
     if (k * beta).denominator == 1:
         return CheckReport(
             "twisted.supercommutator-factor-needed", ("dressed bracket passes AND undressed bracket fails",),
@@ -619,8 +580,8 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     product rectangle.  jobs: list of (combo, x0_range, x2_range) with combo
     a tuple of (Scalar, slot).
 
-    Uses the locality-regularized residue form: with Q = (y-x2)^N P and
-    P = Ybar(u, y) Yg(v^{s2}, x2) w,
+    Uses the locality-regularized residue form: with Q = (x1-x2)^N P and
+    P = Ybar(u, x1) Yg(v^{s2}, x2) w,
 
       coefficient of x0^{e0} x2^{e2} = sum_n C(n/k, e0+N) (-1)^{e0+N}
           phase(slot, n) Q_{-1-n/k+e0+N, e2+n/k+1}
@@ -653,23 +614,16 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     g1_hi = b0_max + N - 1 - Fr(n_lo_g, k)
     g2_hi = d2_max + Fr(n_hi_g, k) + 1
     # P is only ever read on the band f1 + f2 = x0e + x2e (the regularizer
-    # shifts f1 and f2 oppositely), so build each x2-column of the rectangle
-    # just across that band.
-    band_lo = min(j[2] for j in live) + min(j[4] for j in live)
-    band_hi = b0_max + d2_max
-    inner = twisted_field(v, s2, w, Window.of(x2=(vflr - N, g2_hi)), var="x2")
-    columns = []
-    for f2, ivec in sorted(inner.by_exponent()):
-        y_lo = max(uflr - N, band_lo - f2)
-        y_hi = min(g1_hi, band_hi - f2)
-        if y_lo > y_hi or ivec.is_zero():
-            continue
-        columns.append((f2, ybar(u, ivec, Window.of(y=(y_lo, y_hi)), var="y")))
-    # P and Q are keyed by integer exponent numerators over one den; 1/k is r/den
-    den = math.lcm(k, inner.den, *(outer.den for _f2, outer in columns))
+    # shifts f1 and f2 oppositely)
+    band = (min(j[2] for j in live) + min(j[4] for j in live), b0_max + d2_max)
+    P = two_sided(_parts_field, ((ring.one, u, 1),), ((ring.one, v, s2),), w,
+                  (uflr - N, g1_hi), (vflr - N, g2_hi), ("x1", "x2"), band)
+    if P.is_zero():
+        return out
+    # P and Q are keyed (f1, f2) by integer exponent numerators over P's den,
+    # a multiple of k as every twisted field's is; 1/k is r/den
+    prect, den = P.terms, P.den
     r = den // k
-    prect: dict[tuple[int, int], Vec] = {
-        (f1n, int(f2 * den)): res for f2, outer in columns for f1n, res in outer.by_numerator(den)}
     binN = [math.comb(N, l) * (-1) ** l for l in range(N + 1)]
     qcache: dict[tuple[int, int], Vec | None] = {}
 
@@ -764,10 +718,6 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
     if box is None:
         box = Window.of(x0=(-2, 1), x1=(-1, 1), x2=(-1, 1))
     one = ring.one
-    lhs = jacobi_products(
-        _parts_field, ((one, u, s1),), ((one, v, s2),), w, box,
-        (twisted_floor(u, w), twisted_floor(v, w)), (-1) ** (u.parity() * v.parity()),
-    )
     # -- iterate side: j-sum of eta-phased fractional deltas.  The same-slot
     # leg (g^j u^s1 in slot s2) reaches down to the deepest product mode and
     # is a plain mode sum.  A cross-slot iterate has x0-floor 0 (the other
@@ -786,23 +736,17 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
         jobs = [(((one, ((s1 - 1 - j) % k) + 1),), r0, r2) for j in cross]
         return _iterate_shared(u, jobs, v, s2, w, N)
 
-    rhs = iterate_side(
-        ring, lambda r0, r2: [iterate_modesum(_slot_field(s2), u, v, w, r0, r2)],
-        box, e0min, step=Fr(1, k), scale=Fr(1, k), phases=(phase(j_same),),
-    )
+    delta = {"step": Fr(1, k), "scale": Fr(1, k)}
+    legs = [(lambda r0, r2: [iterate_modesum(_slot_field(s2), u, v, w, r0, r2)], e0min,
+             {**delta, "phases": (phase(j_same),)})]
     if cross:
-        rhs = rhs + iterate_side(
-            ring, cross_legs, box, 0, step=Fr(1, k), scale=Fr(1, k),
-            phases=tuple(phase(j) for j in cross),
-        )
-    return vec_equal_on_window(
-        lhs, rhs, box, "twisted.jacobi",
-        anchors=(
-            "x0^-1 d((x1-x2)/x0) Yg(u^s1,x1)Yg(v^s2,x2)w"
-            " - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Yg(v^s2,x2)Yg(u^s1,x1)w"
-            " == (1/k) x2^-1 sum_j d(eta^j (x1-x0)^(1/k)/x2^(1/k)) Yg(Y(g^j u^s1,x0)v^s2,x2)w",
-        ),
-        k=k,
+        legs.append((cross_legs, 0, {**delta, "phases": tuple(phase(j) for j in cross)}))
+    return jacobi_check(
+        _parts_field, ((one, u, s1),), ((one, v, s2),), w, box,
+        (twisted_floor(u, w), twisted_floor(v, w)), legs, "twisted.jacobi",
+        ("x0^-1 d((x1-x2)/x0) Yg(u^s1,x1)Yg(v^s2,x2)w"
+         " - (-1)^|u||v| x0^-1 d((x2-x1)/-x0) Yg(v^s2,x2)Yg(u^s1,x1)w"
+         " == (1/k) x2^-1 sum_j d(eta^j (x1-x0)^(1/k)/x2^(1/k)) Yg(Y(g^j u^s1,x0)v^s2,x2)w",),
     )
 
 
@@ -822,10 +766,6 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
     parts_a = tuple(
         (ring.eta((-i * r) % k) * Fr(1, k), u, ((-i) % k) + 1) for i in range(k)
     )
-    lhs = jacobi_products(
-        _parts_field, parts_a, ((ring.one, v, s2),), w, box,
-        (twisted_floor(u, w), twisted_floor(v, w)), (-1) ** (u.parity() * v.parity()),
-    )
     e0min = min_exponent(u, v)
     N = max(1, -e0min)
     # split A into its slot-s2 component (direct mode sum) and the rest
@@ -839,15 +779,13 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
             it = it + _iterate_shared(u, [(cross, r0, r2)], v, s2, w, N)[0]
         return [it]
 
-    rhs = iterate_side(ring, iterate_a, box, e0min, shift=Fr(-r, k))
-    return vec_equal_on_window(
-        lhs, rhs, box, "twisted.jacobi-eigen",
-        anchors=(
-            "for A = (1/k) sum_i eta^(-ir) g^i u^1: two-sided delta products of"
-            " Yg(A,x1), Yg(v^s2,x2) == x2^-1 ((x1-x0)/x2)^(-r/k) d((x1-x0)/x2)"
-            " Yg(Y(A,x0)v^s2,x2)w",
-        ),
-        k=k,
+    return jacobi_check(
+        _parts_field, parts_a, ((ring.one, v, s2),), w, box,
+        (twisted_floor(u, w), twisted_floor(v, w)), [(iterate_a, e0min, {"shift": Fr(-r, k)})],
+        "twisted.jacobi-eigen",
+        ("for A = (1/k) sum_i eta^(-ir) g^i u^1: two-sided delta products of"
+         " Yg(A,x1), Yg(v^s2,x2) == x2^-1 ((x1-x0)/x2)^(-r/k) d((x1-x0)/x2)"
+         " Yg(Y(A,x0)v^s2,x2)w",),
     )
 
 
@@ -882,6 +820,12 @@ def untwist(u: Vec, w: Vec, window: Window, *, var: str = "x") -> VecSeries:
     return out
 
 
+def _untwist_floor(u: Vec, w: Vec) -> Fr:
+    """Lower bound for the x-exponents of untwist(u, w, .)."""
+    k = w.ring.k
+    return min(k * (twisted_floor(uJ, w) + E) for E, uJ in delta_apply(u, invert=True).by_exponent())
+
+
 def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
                              offset: Fr | None = None) -> CheckReport:
     """Bracket of two rebuilt plain fields against the residue pairing with a
@@ -894,22 +838,19 @@ def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, 
     equivalent (checkable by passing several); the default 0 is the form the
     plain Jacobi identity requires.  A genuinely half-integral c -- the even-k
     branch of the rebuilt bracket -- is a different identity altogether;
-    see untwist_evenbranch_witness.
+    see untwist_evenbranch_witness.  The bracket is the x0^-1 slice of
+    jacobi_check (a box without x0).
     """
-    ring = w.ring
-    k = ring.k
     if box is None:
         box = Window.of(x1=(-2, 2), x2=(-2, 2))
     c = Fr(0) if offset is None else Fr(offset)
     field = lambda s, t, win, var: untwist(s, t, win, var=var)  # noqa: E731
-    return _bracket_check(
-        apply_field=field, u=u, v=v, w=w, box=box, offset=c, den=1,
-        rhs_scale=Fr(1), identity="untwist.supercommutator",
-        anchors=(
-            "[Y_M(u,x1),Y_M(v,x2)]w == Res_x0 x2^-1 d((x1-x0)/x2)"
-            f" ((x1-x0)/x2)^({c}) Y_M(Y(u,x0)v,x2)w",
-        ),
-        k=k,
+    return jacobi_check(
+        field, u, v, w, box, (_untwist_floor(u, w), _untwist_floor(v, w)),
+        [(lambda r0, r2: [iterate_modesum(field, u, v, w, r0, r2)], min_exponent(u, v), {"shift": c})],
+        "untwist.supercommutator",
+        ("[Y_M(u,x1),Y_M(v,x2)]w == Res_x0 x2^-1 d((x1-x0)/x2)"
+         f" ((x1-x0)/x2)^({c}) Y_M(Y(u,x0)v,x2)w",),
     )
 
 
@@ -925,9 +866,8 @@ def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None
     form provably fails.  Passes when exactly that happens, reporting the
     witnessing monomial.
     """
-    ring = w.ring
-    k = ring.k
-    par = u.parity()
+    k = w.ring.k
+    par = state_parity(u)
     gamma = Fr(par * (1 - k), 2)
     if gamma.denominator == 1:
         return CheckReport(
@@ -1011,9 +951,7 @@ def obstruction_report(k: int, u: Vec | None = None) -> CheckReport:
     ring = get_ring(k)
     if u is None:
         u = psi_vec(ring)
-    par = u.parity()
-    if par is None:
-        raise ValueError("obstruction_report needs a parity-homogeneous state")
+    par = state_parity(u)
     w = vac_vec(ring)
     flo = twisted_floor(u, w)
     ser = ybar(u, w, Window.of(x=(flo, flo + 2)))

@@ -1,7 +1,7 @@
 """Independent oracles shared by the tests: the Clifford action, the cyclic
 permutation action and its eigenprojections, per-key Scalar arithmetic on
-module vectors, and the vertex-mode recursion with only the vacuum as its
-base case.
+module vectors, the vertex-mode recursion with only the vacuum as its base
+case, and the bracket of two fields assembled by hand.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -20,7 +20,13 @@ from permtwist.fermion import (
     _twice_weight,
     clifford_apply_state,
     is_tensor_key,
+    iterate_modesum,
+    iterate_side,
+    min_exponent,
+    two_sided,
+    vec_equal_on_window,
 )
+from permtwist.fseries import CheckReport, Window
 
 # ---------------------------------------------------------------------------
 # Clifford action
@@ -140,3 +146,33 @@ def terms_vertex_mode(ring, u: dict, n: int, target: dict) -> dict:
                 t = ring.rational(c) * f
                 out[key] = out[key] + t if key in out else t
     return _dropping_zeros(out)
+
+
+# ---------------------------------------------------------------------------
+# the bracket of two fields, product sides and residue pairing by hand
+# ---------------------------------------------------------------------------
+
+
+def bracket_reference(field, u: Vec, v: Vec, w: Vec, box: Window, *, offset, den: int,
+                      rhs_scale, identity: str, anchors) -> CheckReport:
+    """[F(u,x1), F(v,x2)] w on the (x1, x2) box against
+
+      rhs_scale * sum_{m>=0} sum_n C(n/den+offset, m)(-1)^m
+          x1^{n/den+offset-m} x2^{-n/den-offset-1} F(u_m v, x2) w
+
+    the x0^-1 coefficient of the Jacobi iterate side: the step-1/den delta,
+    dressed by the offset exponent, paired with the iterate on the box
+    x0 = -1.  The product sides are the two full rectangles of the box,
+    subtracted with the Koszul sign.
+    """
+    b = box.as_dict()
+    (l1, h1), (l2, h2) = b["x1"], b["x2"]
+    p12 = two_sided(field, u, v, w, (l1, h1), (l2, h2), ("x1", "x2"), (l1 + l2, h1 + h2))
+    p21 = two_sided(field, v, u, w, (l2, h2), (l1, h1), ("x2", "x1"), (l1 + l2, h1 + h2))
+    lhs = p12 - p21 if u.parity() * v.parity() == 0 else p12 + p21
+    rhs = iterate_side(
+        w.ring, lambda r0, r2: [iterate_modesum(field, u, v, w, r0, r2)],
+        Window.of(x0=(-1, -1), x1=(l1, h1), x2=(l2, h2)), min_exponent(u, v),
+        step=Fr(1, den), shift=offset, scale=rhs_scale,
+    )
+    return vec_equal_on_window(lhs, rhs.shift_exponents("x0", 1), box, identity, anchors, w.ring.k)

@@ -469,7 +469,7 @@ def test_jacobi_negative_control():
     at = dict(zip(("x0", "x1", "x2"), _mismatch_exponents(bad.first_mismatch, ("x0", "x1", "x2"))))
     assert all(lo <= at[v] <= hi for v, (lo, hi) in box.as_dict().items())
     # sanity: the two-point function itself is nonzero somewhere in the box
-    tp = two_sided(vertex_op, psi, psi, w, (-3, 3), (-3, 3), ("x1", "x2"))
+    tp = two_sided(vertex_op, psi, psi, w, (-3, 3), (-3, 3), ("x1", "x2"), (-6, 6))
     assert not tp.is_zero()
 
 

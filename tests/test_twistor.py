@@ -20,17 +20,20 @@ from permtwist.fermion import (
     psi_vec,
     standard_basis,
     state_weight,
+    two_sided,
+    untwisted_jacobi_check,
     vac_vec,
     vec_equal_on_window,
     vertex_op,
     virasoro_mode,
 )
 from permtwist.fseries import CheckReport, Window, delta_truncated, gbinom
-from permtwist import twistor
+from permtwist import fermion, twistor
 from permtwist.twistor import (
     ObstructionError,
     _dress_key,
     _iterate_shared,
+    _parts_field,
     _slot_field,
     conjugation_check,
     delta_apply,
@@ -46,6 +49,7 @@ from permtwist.twistor import (
     supercommutator_check,
     supercommutator_factor_witness,
     twisted_field,
+    twisted_floor,
     twisted_jacobi_check,
     twisted_jacobi_eigen_check,
     twisted_mode,
@@ -54,6 +58,8 @@ from permtwist.twistor import (
     untwist_evenbranch_witness,
     ybar,
 )
+
+from oracles import bracket_reference
 
 R1 = get_ring(1)
 R2 = get_ring(2)
@@ -395,6 +401,108 @@ def test_supercommutator_fractional_factor_is_load_bearing_k2():
     wit = supercommutator_factor_witness(psi, psi, vac_vec(R2))
     assert wit.status == "pass"
     assert "witness" in (wit.detail or "")
+
+
+def _bracket_cases(ring):
+    psi, om = psi_vec(ring), omega_vec(ring)
+    return [(u, v, w) for u in (psi, om) for v in (psi, om) for w in (vac_vec(ring), psi)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_supercommutator_matches_hand_built_bracket(k):
+    # the x0^-1 slice of jacobi_check against the bracket assembled by hand:
+    # both product rectangles of the box, minus the iterate side at x0 = -1
+    ring = get_ring(k)
+    box = Window.of(x1=(-2, 2), x2=(-2, 2))
+    field = lambda s, t, win, var: ybar(s, t, win, var=var)  # noqa: E731
+    cases = [(u, v, w, False) for u, v, w in _bracket_cases(ring)]
+    if k == 2:
+        cases += [(psi_vec(ring), psi_vec(ring), vac_vec(ring), True)]
+    for u, v, w, drop in cases:
+        rep = supercommutator_check(u, v, w, drop_factor=drop)
+        beta = F(0) if drop else F(u.parity() * (1 - k), 2 * k)
+        ref = bracket_reference(field, u, v, w, box, offset=beta, den=k, rhs_scale=F(1, k),
+                                identity="twisted.supercommutator", anchors=rep.anchors)
+        assert rep.to_json() == ref.to_json(), (u.render(), v.render(), w.render(), drop)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("offset", [F(0), F(-1), F(1, 2)])
+def test_untwist_commutator_matches_hand_built_bracket(k, offset):
+    ring = get_ring(k)
+    box = Window.of(x1=(-2, 2), x2=(-2, 2))
+    field = lambda s, t, win, var: untwist(s, t, win, var=var)  # noqa: E731
+    for u, v, w in _bracket_cases(ring):
+        rep = untwist_commutator_check(u, v, w, offset=offset)
+        ref = bracket_reference(field, u, v, w, box, offset=offset, den=1, rhs_scale=F(1),
+                                identity="untwist.supercommutator", anchors=rep.anchors)
+        assert rep.to_json() == ref.to_json(), (u.render(), v.render(), w.render())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bracket_builds_only_the_box_rectangles(monkeypatch, k):
+    # the x0^-1 slice has one delta index, n = 0, so its binomial tail is
+    # empty: a default-box bracket asks each product side only for the box,
+    # with the inner variable cut at its field's floor
+    ring = get_ring(k)
+    seen = []
+
+    def spy(field, u, v, w, win1, win2, vars, band):
+        seen.append((vars, tuple(map(F, win1)), tuple(map(F, win2))))
+        return two_sided(field, u, v, w, win1, win2, vars, band)
+
+    monkeypatch.setattr(fermion, "two_sided", spy)
+    for u, v, w in _bracket_cases(ring):
+        seen.clear()
+        assert supercommutator_check(u, v, w).status == "pass"
+        fu, fv = twisted_floor(u, w), twisted_floor(v, w)
+        assert seen == [(("x1", "x2"), (-2, 2), (max(fv, -2), 2)),
+                        (("x2", "x1"), (-2, 2), (max(fu, -2), 2))]
+
+
+def by_exponents(s: VecSeries) -> dict:
+    """(Fraction exponents, Vec) of every term, in the series' vars."""
+    return {tuple(F(n, s.den) for n in key): vec for key, vec in s.terms.items()}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_banded_two_sided_is_the_rectangle_cut_to_the_band(k):
+    # a band only skips entries: every kept (f1, f2) is the rectangle's own
+    ring = get_ring(k)
+    one = ring.one
+    w = Vec.basis(ring, (-2, -1))
+    fields = [
+        (vertex_op, omega_vec(ring), psi_vec(ring)),
+        (_parts_field, ((one, omega_vec(ring), 1),), ((ring.eta(1 % k), psi_vec(ring), 2 if k > 1 else 1),)),
+    ]
+    win1, win2 = (F(-3), F(2)), (F(-2), F(3))
+    for field, u, v in fields:
+        full = by_exponents(two_sided(field, u, v, w, win1, win2, ("x1", "x2"), (F(-5), F(5))))
+        assert len({f1 for f1, _f2 in full}) > 3
+        for band in [(F(-1), F(1)), (F(-4, 3), F(0)), (F(2), F(2)), (F(7), F(9))]:
+            got = by_exponents(two_sided(field, u, v, w, win1, win2, ("x1", "x2"), band))
+            assert got == {fs: vec for fs, vec in full.items() if band[0] <= sum(fs) <= band[1]}, band
+
+
+def test_checks_refuse_a_mixed_parity_state():
+    # psi + omega has no Koszul sign: every Jacobi and bracket check, and the
+    # witnesses reading its parity, raise ValueError naming the state
+    ring = R3
+    mixed, psi, vac = psi_vec(ring) + omega_vec(ring), psi_vec(ring), vac_vec(ring)
+    calls = [
+        lambda: untwisted_jacobi_check(psi_vec(R1) + omega_vec(R1), psi_vec(R1), vac_vec(R1)),
+        lambda: twisted_jacobi_check(mixed, 1, psi, 2, vac),
+        lambda: twisted_jacobi_check(psi, 1, mixed, 2, vac),
+        lambda: twisted_jacobi_eigen_check(mixed, 1, psi, 1, vac),
+        lambda: supercommutator_check(mixed, psi, vac),
+        lambda: supercommutator_check(psi, mixed, vac, drop_factor=True),
+        lambda: untwist_commutator_check(mixed, psi, vac),
+        lambda: supercommutator_factor_witness(mixed, psi, vac),
+        lambda: untwist_evenbranch_witness(mixed, psi, vac),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"psi\(-1/2\)\|0> \+ .* is not parity-homogeneous"):
+            call()
 
 
 def test_supercommutator_witness_even_parity_declines():

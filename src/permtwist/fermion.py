@@ -18,6 +18,7 @@ ints, and read back as `Fraction`s only at the boundary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as Fr
 from functools import lru_cache
 from operator import add
@@ -524,7 +525,11 @@ def virasoro_mode(n: int, target: Vec) -> Vec:
 
 
 class VecSeries(FracSeries):
-    """A series whose coefficients are Vecs.  All series arithmetic is FracSeries'."""
+    """A series whose coefficients are Vecs.  All series arithmetic is FracSeries'.
+
+    Series entries are never mutated: every `add_scaled` or `reduce` receiver
+    is a fresh accumulator, so a result may share its operands' Vec objects.
+    """
 
     __slots__ = ()
 
@@ -537,25 +542,40 @@ class VecSeries(FracSeries):
         formed, and the result is mul_series(s).truncate_window(box) term for
         term: each box coefficient is still the sum of every product that
         lands on it.  It is the true coefficient of the full product when both
-        operands hold every term that can reach it.
+        operands hold every term that can reach it.  The vector terms are
+        grouped by their exponent in the box's narrowest bounded variable, so
+        a scalar term meets only the groups the box lets through.  A scalar
+        series that is one monomial of coefficient one only moves keys: the
+        result shares the entries.
         """
         allvars, den, a, b = self._aligned(s)
         limits = box.limits(allvars, den) if box is not None else []
-        rows = list(a.items())
+        if len(b) == 1 and next(iter(b.values())) == self.ring.one:
+            (sint,) = b
+            moved = ((tuple(map(add, vint, sint)), vec) for vint, vec in a.items())
+            terms = {key: vec for key, vec in moved if all(lo <= key[i] <= hi for i, lo, hi in limits)}
+            return self._of(self.ring, allvars, terms, den)
+        ix, glo, ghi = min(limits, key=lambda lim: lim[2] - lim[1]) if limits else (None, 0, 0)
+        groups: dict = {}
+        for vint, vec in a.items():
+            groups.setdefault(0 if ix is None else vint[ix], []).append((vint, vec))
+        cols = sorted(groups)
         acc: dict = {}
         for sint, c in b.items():
+            d = 0 if ix is None else sint[ix]
             # the box shifted by this scalar term: bounds on vint itself
-            bounds = [(i, lo - sint[i], hi - sint[i]) for i, lo, hi in limits]
-            for vint, vec in rows:
-                for i, lo, hi in bounds:
-                    if not lo <= vint[i] <= hi:
-                        break
-                else:
-                    key = tuple(map(add, vint, sint))
-                    cur = acc.get(key)
-                    if cur is None:
-                        cur = acc[key] = Vec(self.ring)
-                    cur.add_scaled(vec, c)
+            bounds = [(i, lo - sint[i], hi - sint[i]) for i, lo, hi in limits if i != ix]
+            for col in cols[bisect_left(cols, glo - d):bisect_right(cols, ghi - d)]:
+                for vint, vec in groups[col]:
+                    for i, lo, hi in bounds:
+                        if not lo <= vint[i] <= hi:
+                            break
+                    else:
+                        key = tuple(map(add, vint, sint))
+                        cur = acc.get(key)
+                        if cur is None:
+                            cur = acc[key] = Vec(self.ring)
+                        cur.add_scaled(vec, c)
         terms = {key: vec.reduce() for key, vec in acc.items() if not vec.is_zero()}
         return self._of(self.ring, allvars, terms, den)
 

@@ -56,6 +56,7 @@ from .fseries import (
     FracSeries,
     Window,
     binom_expand,
+    delta_truncated,
     inverse_factorial,
     power_sum,
     unit_pow,
@@ -272,7 +273,8 @@ def _parts_field(parts, target: Vec, window: Window, var: str = "x") -> VecSerie
         base = next((f for s, f in fields if s == state), None)
         if base is None:
             fields.append((state, base := ybar(state, target, window, var=var)))
-        out = out + base.eta_twist(var, slot - 1).scale(c)
+        part = base.eta_twist(var, slot - 1)
+        out = out + (part if c == target.ring.one else part.scale(c))
     return out
 
 
@@ -407,28 +409,16 @@ def lg0_check(k: int, *, max_weight=3) -> CheckReport:
     ring = get_ring(k)
     act = twisted_mode(omega_vec(ring), 1)
     shift = Fr(k * k - 1, 48 * k)
-    win = Window.of(x=(-2, -2))
+    report = partial(CheckReport, "twisted.grading-operator",
+                     ("k * (omega slot-1 twisted mode at 1) == L(0)/k + (k^2-1)/48k",),
+                     Window.of(x=(-2, -2)).render(), k=k)
     for key in standard_basis(max_weight):
         w = Vec.basis(ring, key)
         got = act.apply(w).scale(k)
         want = w.scale(Fr(key_weight(key)) / k + shift)
         if got != want:
-            return CheckReport(
-                "twisted.grading-operator",
-                ("k * (omega slot-1 twisted mode at 1) == L(0)/k + (k^2-1)/48k",),
-                win.render(),
-                "fail",
-                first_mismatch=f"on {w.render()}: {got.render()} != {want.render()}",
-                k=k,
-            )
-    return CheckReport(
-        "twisted.grading-operator",
-        ("k * (omega slot-1 twisted mode at 1) == L(0)/k + (k^2-1)/48k",),
-        win.render(),
-        "pass",
-        detail=f"basis through weight {max_weight}; vacuum level {shift}",
-        k=k,
-    )
+            return report("fail", first_mismatch=f"on {w.render()}: {got.render()} != {want.render()}")
+    return report("pass", detail=f"basis through weight {max_weight}; vacuum level {shift}")
 
 
 # ---------------------------------------------------------------------------
@@ -580,116 +570,55 @@ def _iterate_shared(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSe
     product rectangle.  jobs: list of (combo, x0_range, x2_range) with combo
     a tuple of (Scalar, slot).
 
-    Uses the locality-regularized residue form: with Q = (x1-x2)^N P and
-    P = Ybar(u, x1) Yg(v^{s2}, x2) w,
+    By weak associativity the iterate is one delta pairing: with
+    P = Ybar(u, x1) Yg(v^{s2}, x2) w and Q = (x1-x2)^N P,
 
-      coefficient of x0^{e0} x2^{e2} = sum_n C(n/k, e0+N) (-1)^{e0+N}
-          phase(slot, n) Q_{-1-n/k+e0+N, e2+n/k+1}
+      Yg(Y(u,x0)v,x2)w = x0^-N Res_x1 x1^-1 d((x2+x0)^{1/k}/x1^{1/k}) Q
 
-    The n-sum is finite because Q vanishes below the one-field annihilation
-    floors on both variables (the commuted ordering bounds y, the direct one
-    bounds x2).  The slot phase eta^{(slot-1) k f1} is constant across the
-    regularizer sum (k f1 moves by multiples of k), so one phase-free Q cache
-    serves every job; per term it only depends on n mod k.
+    Locality makes Q vanish below both one-field floors, so the x1-residue
+    reads finitely many of its terms.  The slot phase eta^{(slot-1)c} of the
+    delta term ((x2+x0)/x1)^{n/k} depends only on c = n mod k: the delta is
+    split by c, each class is paired with Q once, rationally, and each job
+    sums the pairings with its phases.
     """
     ring = w.ring
     k = ring.k
     out = [VecSeries(ring, ("x0", "x2")) for _ in jobs]
-    live = []
-    for ci, (combo, r0, r2) in enumerate(jobs):
-        a0, b0 = int(r0[0]), int(r0[1])
-        c2, d2 = Fr(r2[0]), Fr(r2[1])
-        if a0 <= b0 and c2 <= d2:
-            live.append((ci, combo, a0, b0, c2, d2))
+    live = [(i, combo, r0, r2) for i, (combo, r0, r2) in enumerate(jobs)
+            if r0[0] <= r0[1] and r2[0] <= r2[1]]
     if not live:
         return out
     uflr = twisted_floor(u, w)
     vflr = twisted_floor(v, w)
-    b0_max = max(j[3] for j in live)
-    d2_max = max(j[5] for j in live)
-    n_lo_g = math.ceil(k * (vflr - 1 - d2_max))
-    n_hi_g = math.floor(k * (b0_max + N - 1 - uflr))
-    if n_lo_g > n_hi_g:
+    # the union of the job windows
+    a0, b0 = min(int(r0[0]) for _i, _c, r0, _r2 in live), max(int(r0[1]) for _i, _c, r0, _r2 in live)
+    c2, d2 = min(Fr(r2[0]) for *_, r2 in live), max(Fr(r2[1]) for *_, r2 in live)
+    # Q is read on g1 >= uflr, g2 >= vflr and g1 + g2 <= b0 + N + d2
+    g1_hi, g2_hi = b0 + N + d2 - vflr, b0 + N + d2 - uflr
+    if g1_hi < uflr or b0 + N < 0:
         return out
-    g1_hi = b0_max + N - 1 - Fr(n_lo_g, k)
-    g2_hi = d2_max + Fr(n_hi_g, k) + 1
-    # P is only ever read on the band f1 + f2 = x0e + x2e (the regularizer
-    # shifts f1 and f2 oppositely)
-    band = (min(j[2] for j in live) + min(j[4] for j in live), b0_max + d2_max)
+    # P is only ever read on the band f1 + f2 = x0e + x2e
     P = two_sided(_parts_field, ((ring.one, u, 1),), ((ring.one, v, s2),), w,
-                  (uflr - N, g1_hi), (vflr - N, g2_hi), ("x1", "x2"), band)
-    if P.is_zero():
-        return out
-    # P and Q are keyed (f1, f2) by integer exponent numerators over P's den,
-    # a multiple of k as every twisted field's is; 1/k is r/den
-    prect, den = P.terms, P.den
-    r = den // k
-    binN = [math.comb(N, l) * (-1) ** l for l in range(N + 1)]
-    qcache: dict[tuple[int, int], Vec | None] = {}
-
-    def qplain(g1: int, g2: int) -> Vec | None:
-        # summed into a fresh vector: prect entries and cached results are
-        # never mutated
-        key = (g1, g2)
-        if key in qcache:
-            return qcache[key]
-        acc = None
-        for l in range(N + 1):
-            p = prect.get((g1 - (N - l) * den, g2 - l * den))
-            if p is None:
-                continue
-            if acc is None:
-                acc = Vec(ring)
-            acc.add_scaled(p, binN[l])
-        qcache[key] = acc
-        return acc
-
-    # C(n/k, i) (-1)^i over the den k^i i! of every n: binrows[i][n - n_lo_g]
-    # is the int numerator (-1)^i n (n-k) ... (n-(i-1)k)
-    binrows: dict[int, list[int]] = {}
-    for ci, combo, a0, b0, c2, d2 in live:
-        # phase of each n-class: eta^{(slot-1) k f1} with k f1 = -n mod k
-        ph_tab = []
-        for cls in range(k):
-            ph = ring.zero
-            for c, slot in combo:
-                ph = ph + c * ring.eta(((slot - 1) * cls) % k)
-            ph_tab.append(ph)
-        # ... times the binomial den 1/(k^i i!), per i
-        ph_by_i: dict[int, list] = {}
-        n_lo_j = math.ceil(k * (vflr - 1 - d2))
-        n_hi_j = math.floor(k * (b0 + N - 1 - uflr))
-        x2e = Fr(math.ceil(k * c2), k)
-        while x2e <= d2:
-            n_lo_c = max(n_lo_j, math.ceil(k * (vflr - 1 - x2e)))
-            x2n = int(x2e * den)
-            for x0e in range(a0, b0 + 1):
-                i = x0e + N
-                if i < 0:
-                    continue
-                n_hi_c = min(n_hi_j, math.floor(k * (i - 1 - uflr)))
-                if i not in binrows:
-                    binrows[i] = [(-1) ** i * math.prod(range(n, n - i * k, -k))
-                                  for n in range(n_lo_g, n_hi_g + 1)]
-                row = binrows[i]
-                buckets: dict[int, Vec] = {}
-                for n in range(n_lo_c, n_hi_c + 1):
-                    cb = row[n - n_lo_g]
-                    if not cb:
-                        continue
-                    q = qplain((i - 1) * den - n * r, x2n + n * r + den)
-                    if q is None or q.is_zero():
-                        continue
-                    bucket = buckets.setdefault((-n) % k, Vec(ring))
-                    bucket.add_scaled(q, cb)
-                if i not in ph_by_i:
-                    inv = Fr(1, k**i * math.factorial(i))
-                    ph_by_i[i] = [ph * inv for ph in ph_tab]
-                acc = Vec(ring)
-                for cls, vecsum in buckets.items():
-                    acc.add_scaled(vecsum, ph_by_i[i][cls])
-                out[ci].add_term((Fr(x0e), x2e), acc.reduce())
-            x2e += Fr(1, k)
+                  (uflr - N, g1_hi), (vflr - N, g2_hi), ("x1", "x2"), (a0 + c2, b0 + d2))
+    Q = P.mul_series(binom_expand(ring, (1, {"x1": 1}), (-1, {"x2": 1}), N, N),
+                     Window.of(x1=(uflr, g1_hi), x2=(vflr, g2_hi)))
+    pair = Window.of(x0=(max(a0 + N, 0), b0 + N), x1=(-1, -1), x2=(c2, d2))
+    classes = []
+    for c in range(k):
+        s = Fr(c, k)
+        delta = delta_truncated(
+            ring, (1, {"x2": 1}), (1, {"x0": 1}), (1, {"x1": 1}), shift=s,
+            n_range=(math.ceil(uflr - s), math.floor(g1_hi - s)), tail_order=b0 + N,
+            prefix=(1, {"x1": -1}),
+        )
+        classes.append(Q.mul_series(delta, pair).coefficient_in("x1", -1).shift_exponents("x0", -N))
+    for i, combo, r0, r2 in live:
+        acc = VecSeries(ring, ("x0", "x2"))
+        for c, pairing in enumerate(classes):
+            ph = sum((coef * ring.eta((slot - 1) * c) for coef, slot in combo), ring.zero)
+            if not ph.is_zero():
+                acc = acc + (pairing if ph == ring.one else pairing.scale(ph))
+        out[i] = acc.truncate_window(Window.of(x0=r0, x2=r2))
     return out
 
 
@@ -994,7 +923,9 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:
     """
     ring = get_ring(k)
     psi = psi_vec(ring)
-    win = Window.of(wt=(0, Fr(max_weight)))
+    report = partial(CheckReport, "twisted.irreducible-scan",
+                     ("every basis state reaches the vacuum and back",),
+                     Window.of(wt=(0, Fr(max_weight))).render(), k=k)
     for key in standard_basis(max_weight):
         if not key:
             continue
@@ -1002,25 +933,10 @@ def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:
         for a in key:  # deepest letter first: annihilate psi_a via psi_{-1-a}
             down = twisted_mode(psi, Fr(-2 * a - k - 1, 2 * k)).apply(down)
         if down.is_zero() or set(down.keys()) != {()}:
-            return CheckReport(
-                "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
-                win.render(), "fail",
-                first_mismatch=f"annihilation chain from {key} ended at {down.render()}",
-                k=k,
-            )
+            return report("fail", first_mismatch=f"annihilation chain from {key} ended at {down.render()}")
         up = vac_vec(ring)
         for a in reversed(key):
             up = twisted_mode(psi, Fr(2 * a + 1 - k, 2 * k)).apply(up)
         if up.is_zero() or set(up.keys()) != {key}:
-            return CheckReport(
-                "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
-                win.render(), "fail",
-                first_mismatch=f"creation chain for {key} gave {up.render()}",
-                k=k,
-            )
-    return CheckReport(
-        "twisted.irreducible-scan", ("every basis state reaches the vacuum and back",),
-        win.render(), "pass",
-        detail=f"basis through weight {Fr(max_weight)} connected to the vacuum both ways",
-        k=k,
-    )
+            return report("fail", first_mismatch=f"creation chain for {key} gave {up.render()}")
+    return report("pass", detail=f"basis through weight {Fr(max_weight)} connected to the vacuum both ways")

@@ -1,7 +1,8 @@
 """Independent oracles shared by the tests: the Clifford action, the cyclic
 permutation action and its eigenprojections, per-key Scalar arithmetic on
 module vectors, the vertex-mode recursion with only the vacuum as its base
-case, and the bracket of two fields assembled by hand.
+case, the bracket of two fields assembled by hand, and the cross-slot
+iterate as a residue sum over explicit indices.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -15,6 +16,7 @@ from fractions import Fraction as Fr
 
 from permtwist.fermion import (
     Vec,
+    VecSeries,
     _mode_on_key,
     _q_max,
     _twice_weight,
@@ -27,6 +29,7 @@ from permtwist.fermion import (
     vec_equal_on_window,
 )
 from permtwist.fseries import CheckReport, Window
+from permtwist.twistor import _parts_field, twisted_floor
 
 # ---------------------------------------------------------------------------
 # Clifford action
@@ -176,3 +179,126 @@ def bracket_reference(field, u: Vec, v: Vec, w: Vec, box: Window, *, offset, den
         step=Fr(1, den), shift=offset, scale=rhs_scale,
     )
     return vec_equal_on_window(lhs, rhs.shift_exponents("x0", 1), box, identity, anchors, w.ring.k)
+
+
+# ---------------------------------------------------------------------------
+# the cross-slot iterate, one residue-sum index at a time
+# ---------------------------------------------------------------------------
+
+
+def iterate_residue_reference(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> list[VecSeries]:
+    """twistor._iterate_shared by hand: the iterate fields of several slot
+    combinations of u over one shared product rectangle, with jobs as there
+    (a list of (combo, x0_range, x2_range), combo a tuple of (Scalar, slot)).
+
+    Uses the locality-regularized residue form: with Q = (x1-x2)^N P and
+    P = Ybar(u, x1) Yg(v^{s2}, x2) w,
+
+      coefficient of x0^{e0} x2^{e2} = sum_n C(n/k, e0+N) (-1)^{e0+N}
+          phase(slot, n) Q_{-1-n/k+e0+N, e2+n/k+1}
+
+    The n-sum is finite because Q vanishes below the one-field annihilation
+    floors on both variables (the commuted ordering bounds y, the direct one
+    bounds x2).  The slot phase eta^{(slot-1) k f1} is constant across the
+    regularizer sum (k f1 moves by multiples of k), so one phase-free Q cache
+    serves every job; per term it only depends on n mod k.
+    """
+    ring = w.ring
+    k = ring.k
+    out = [VecSeries(ring, ("x0", "x2")) for _ in jobs]
+    live = []
+    for ci, (combo, r0, r2) in enumerate(jobs):
+        a0, b0 = int(r0[0]), int(r0[1])
+        c2, d2 = Fr(r2[0]), Fr(r2[1])
+        if a0 <= b0 and c2 <= d2:
+            live.append((ci, combo, a0, b0, c2, d2))
+    if not live:
+        return out
+    uflr = twisted_floor(u, w)
+    vflr = twisted_floor(v, w)
+    b0_max = max(j[3] for j in live)
+    d2_max = max(j[5] for j in live)
+    n_lo_g = math.ceil(k * (vflr - 1 - d2_max))
+    n_hi_g = math.floor(k * (b0_max + N - 1 - uflr))
+    if n_lo_g > n_hi_g:
+        return out
+    g1_hi = b0_max + N - 1 - Fr(n_lo_g, k)
+    g2_hi = d2_max + Fr(n_hi_g, k) + 1
+    # P is only ever read on the band f1 + f2 = x0e + x2e (the regularizer
+    # shifts f1 and f2 oppositely)
+    band = (min(j[2] for j in live) + min(j[4] for j in live), b0_max + d2_max)
+    P = two_sided(_parts_field, ((ring.one, u, 1),), ((ring.one, v, s2),), w,
+                  (uflr - N, g1_hi), (vflr - N, g2_hi), ("x1", "x2"), band)
+    if P.is_zero():
+        return out
+    # P and Q are keyed (f1, f2) by integer exponent numerators over P's den,
+    # a multiple of k as every twisted field's is; 1/k is r/den
+    prect, den = P.terms, P.den
+    r = den // k
+    binN = [math.comb(N, l) * (-1) ** l for l in range(N + 1)]
+    qcache: dict[tuple[int, int], Vec | None] = {}
+
+    def qplain(g1: int, g2: int) -> Vec | None:
+        # summed into a fresh vector: prect entries and cached results are
+        # never mutated
+        key = (g1, g2)
+        if key in qcache:
+            return qcache[key]
+        acc = None
+        for l in range(N + 1):
+            p = prect.get((g1 - (N - l) * den, g2 - l * den))
+            if p is None:
+                continue
+            if acc is None:
+                acc = Vec(ring)
+            acc.add_scaled(p, binN[l])
+        qcache[key] = acc
+        return acc
+
+    # C(n/k, i) (-1)^i over the den k^i i! of every n: binrows[i][n - n_lo_g]
+    # is the int numerator (-1)^i n (n-k) ... (n-(i-1)k)
+    binrows: dict[int, list[int]] = {}
+    for ci, combo, a0, b0, c2, d2 in live:
+        # phase of each n-class: eta^{(slot-1) k f1} with k f1 = -n mod k
+        ph_tab = []
+        for cls in range(k):
+            ph = ring.zero
+            for c, slot in combo:
+                ph = ph + c * ring.eta(((slot - 1) * cls) % k)
+            ph_tab.append(ph)
+        # ... times the binomial den 1/(k^i i!), per i
+        ph_by_i: dict[int, list] = {}
+        n_lo_j = math.ceil(k * (vflr - 1 - d2))
+        n_hi_j = math.floor(k * (b0 + N - 1 - uflr))
+        x2e = Fr(math.ceil(k * c2), k)
+        while x2e <= d2:
+            n_lo_c = max(n_lo_j, math.ceil(k * (vflr - 1 - x2e)))
+            x2n = int(x2e * den)
+            for x0e in range(a0, b0 + 1):
+                i = x0e + N
+                if i < 0:
+                    continue
+                n_hi_c = min(n_hi_j, math.floor(k * (i - 1 - uflr)))
+                if i not in binrows:
+                    binrows[i] = [(-1) ** i * math.prod(range(n, n - i * k, -k))
+                                  for n in range(n_lo_g, n_hi_g + 1)]
+                row = binrows[i]
+                buckets: dict[int, Vec] = {}
+                for n in range(n_lo_c, n_hi_c + 1):
+                    cb = row[n - n_lo_g]
+                    if not cb:
+                        continue
+                    q = qplain((i - 1) * den - n * r, x2n + n * r + den)
+                    if q is None or q.is_zero():
+                        continue
+                    bucket = buckets.setdefault((-n) % k, Vec(ring))
+                    bucket.add_scaled(q, cb)
+                if i not in ph_by_i:
+                    inv = Fr(1, k**i * math.factorial(i))
+                    ph_by_i[i] = [ph * inv for ph in ph_tab]
+                acc = Vec(ring)
+                for cls, vecsum in buckets.items():
+                    acc.add_scaled(vecsum, ph_by_i[i][cls])
+                out[ci].add_term((Fr(x0e), x2e), acc.reduce())
+            x2e += Fr(1, k)
+    return out

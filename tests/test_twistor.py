@@ -27,7 +27,7 @@ from permtwist.fermion import (
     vertex_op,
     virasoro_mode,
 )
-from permtwist.fseries import CheckReport, Window, delta_truncated, gbinom
+from permtwist.fseries import CheckReport, FracSeries, Window, delta_truncated, gbinom
 from permtwist import fermion, twistor
 from permtwist.twistor import (
     ObstructionError,
@@ -59,7 +59,7 @@ from permtwist.twistor import (
     ybar,
 )
 
-from oracles import bracket_reference
+from oracles import bracket_reference, iterate_residue_reference
 
 R1 = get_ring(1)
 R2 = get_ring(2)
@@ -543,6 +543,74 @@ def test_iterate_k1_collapse():
     assert iterate_vs_modes_check(psi_vec(R1), psi_vec(R1), Vec.basis(R1, (-1,))).status == "pass"
 
 
+# psi(-3/2)psi(-1/2)|0> is 2 omega: the same field on an integer den
+_GRID_STATES = {"psi": psi_vec, "omega": omega_vec, "pp": lambda ring: Vec.basis(ring, (-2, -1))}
+_GRID_PAIRS = [("psi", "psi"), ("psi", "pp"), ("omega", "psi"), ("omega", "pp")]
+
+
+@pytest.mark.parametrize("k, uname, vname", [
+    (k, un, vn) for k in (1, 3, 5) for un, vn in _GRID_PAIRS if k < 5 or "psi" in (un, vn)
+])
+def test_iterate_shared_matches_residue_reference(k, uname, vname):
+    # the delta pairing against the residue sum taken one index at a time:
+    # every slot, a two-slot combination with eta-valued coefficients, four
+    # window shapes in one call, three targets, s2 <= 3 and two regularizers
+    # (one at k = 5, where the pairs with a weight-2 state are the slowest)
+    ring = get_ring(k)
+    u, v = _GRID_STATES[uname](ring), _GRID_STATES[vname](ring)
+    combos = [((ring.one, s),) for s in range(1, k + 1)]
+    if k > 1:
+        combos.append(((ring.eta(1), 2), (ring.eta(2) * F(1, 3), k)))
+    wins = [((0, 1), (-1, 1)), ((-2, 0), (F(-1, k), 1)), ((0, 0), (0, 0)), ((-1, -1), (-1, F(2, k)))]
+    N0 = max(1, -min_exponent(u, v))
+    for w in (vac_vec(ring), Vec.basis(ring, (-1,)), Vec.basis(ring, (-2, -1))):
+        for s2 in range(1, min(k, 3) + 1):
+            for N in (N0, N0 + 1) if k < 5 else (N0,):
+                jobs = [(c, r0, r2) for c in combos for r0, r2 in wins]
+                got = _iterate_shared(u, jobs, v, s2, w, N)
+                want = iterate_residue_reference(u, jobs, v, s2, w, N)
+                for job, a, b in zip(jobs, got, want, strict=True):
+                    assert a == b, (w, s2, N, job)
+
+
+def test_iterate_shared_edge_windows():
+    # an empty window, a window wholly below x0^-N and one that starts
+    # below it, alone and beside a live job
+    psi = psi_vec(R3)
+    w = Vec.basis(R3, (-1,))
+    N = max(1, -min_exponent(psi, psi))
+    live = (((R3.one, 2),), (0, 1), (-1, 1))
+    for r0, r2 in [((1, 0), (-1, 1)), ((0, 1), (1, 0)), ((-N - 3, -N - 1), (-1, 1)), ((-N - 2, 0), (-1, 1))]:
+        for jobs in ([(((R3.one, 3),), r0, r2)], [(((R3.one, 3),), r0, r2), live]):
+            got = _iterate_shared(psi, jobs, psi, 1, w, N)
+            assert got == iterate_residue_reference(psi, jobs, psi, 1, w, N), (r0, r2)
+            if r0[1] + N < 0 or r0[0] > r0[1] or r2[0] > r2[1]:
+                assert got[0].is_zero()
+
+
+def test_iterate_builds_one_product_rectangle(monkeypatch):
+    # at k = 5 the Jacobi check hands its four cross-slot legs to one
+    # _iterate_shared call, which builds one two_sided rectangle for all of them
+    rects, calls = [], []
+    real_two_sided, real_iterate = twistor.two_sided, twistor._iterate_shared
+
+    def spy_two_sided(*args):
+        rects.append(args)
+        return real_two_sided(*args)
+
+    def spy_iterate(u, jobs, *rest):
+        calls.append(len(jobs))
+        return real_iterate(u, jobs, *rest)
+
+    monkeypatch.setattr(twistor, "two_sided", spy_two_sided)
+    monkeypatch.setattr(twistor, "_iterate_shared", spy_iterate)
+    R5 = get_ring(5)
+    rep = twisted_jacobi_check(psi_vec(R5), 1, psi_vec(R5), 2, vac_vec(R5))
+    assert rep.status == "pass", rep.first_mismatch
+    assert calls == [4]
+    assert len(rects) == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # the fractional Jacobi identity
 # ---------------------------------------------------------------------------
@@ -581,8 +649,18 @@ def test_mul_series_box_equals_truncated_product():
     assert 0 < len(cut.terms) < len(full.terms)  # the box cuts the support
     got = it.mul_series(d, box)
     assert got.vars == cut.vars and got.terms == cut.terms
+    # a box that pins a variable, and one that bounds only some variables
+    for part in (Window.of(x0=(0, 1), x1=(F(1, 3), F(1, 3)), x2=(-1, 1)), Window.of(x1=(-1, 0))):
+        cut = full.truncate_window(part)
+        assert 0 < len(cut.terms) < len(full.terms)
+        got = it.mul_series(d, part)
+        assert got.vars == cut.vars and got.terms == cut.terms
     # a box that misses the support entirely gives the zero series
     assert it.mul_series(d, Window.of(x0=(40, 41), x1=(-1, 1), x2=(-1, 1))).is_zero()
+    # a unit monomial moves keys only: the entries are shared, not copied
+    got = it.mul_series(FracSeries.monomial(R3, 1, {"x0": -1}), Window.of(x0=(-1, -1)))
+    assert got == it.shift_exponents("x0", -1).truncate_window(Window.of(x0=(-1, -1)))
+    assert got.terms and all(vec is it.terms[(0,) + key[1:]] for key, vec in got.terms.items())
 
 
 def test_jacobi_k3_conformal_pair():

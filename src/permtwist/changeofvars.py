@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exactnum import NotAUnitError, Scalar, ScalarRing, get_ring
+from .exactnum import Scalar, ScalarRing, get_ring
 from .fseries import (
     CheckReport,
     CompositionDomainError,
@@ -176,7 +176,7 @@ def solve_exp_coeffs(
             raise CompositionDomainError(f"solver input must lie in {var}*R[[{var}]], found {var}^{e}")
     a0 = f.coefficient_in(var, 1)
     if a0.is_zero():
-        raise NotAUnitError("zero leading coefficient")
+        raise ZeroDivisionError("zero leading coefficient")
     a0_inv = _series_reciprocal(a0, trunc)
     known: list = []
     for m in range(1, order + 1):

@@ -1,25 +1,24 @@
-"""Exact coefficient arithmetic: rationals extended by sqrt(k) and a k-th root of unity.
+"""Exact coefficient arithmetic in the field Q(eta, sqrt k), eta = exp(2 pi i / k).
 
-Every scalar series coefficient downstream lives in the commutative ring
+One rule decides whether sqrt k needs basis slots of its own.  The quadratic
+Gauss sum G(k) = sum_{a<k} eta^(a^2) is sqrt k for k = 1 (mod 4) and
+(1 + i) sqrt k, i = eta^(k/4), for k = 0 (mod 4), while sqrt k is not in
+Q(eta) for k = 2, 3 (mod 4) (Washington, *Introduction to Cyclotomic
+Fields*, ch. 4).  So for k = 0, 1 (mod 4) the field is Q[t]/(Phi_k(t)), with
+sqrt k = G or G (1 - i)/2 (square k included: G(9) = 3); otherwise it is
+Q[t, s]/(Phi_k(t), s^2 - k), with sqrt k = s.  Either way every nonzero
+scalar inverts (`Scalar.invert`).
 
-    Q[t, s] / (Phi_k(t), s^2 - k)
-
-where t is a primitive k-th root of unity (eta), Phi_k is the k-th cyclotomic
-polynomial, and s plays sqrt(k).  When k is a perfect square m^2 the generator
-s collapses to the rational m at ring construction, so the ring is an honest
-cyclotomic field in that case.  For general k the composite quotient may have
-zero divisors; that is safe here because the engine only ever inverts monomial
-units q*s^eps*t^m (asserted, never silently divided).
-
-A scalar is dense over the basis s^eps * t^m (eps in {0, 1}, 0 <= m < deg
-Phi_k), basis slot eps*deg + m: a tuple of integer numerators over one
-positive integer denominator, with gcd(numerators, denominator) == 1 and zero
-stored as all-zero numerators over 1.  Values are immutable and normalized
-eagerly, so structural equality equals ring equality.  Phi_k is monic, so the
-product of two basis monomials is an integer combination of basis monomials;
-each ring tabulates these once (`ScalarRing.table`), and a product is integer
-multiply-adds over the nonzero slot pairs followed by one gcd.  A product with
-a rational operand (only the constant slot nonzero) scales the other
+A scalar is dense over the basis s^eps * t^m (0 <= m < deg Phi_k, eps = 1
+only where s is a generator), basis slot eps*deg + m: a tuple of integer
+numerators over one positive integer denominator, with gcd(numerators,
+denominator) == 1 and zero stored as all-zero numerators over 1.  Values are
+immutable and normalized eagerly, so structural equality equals field
+equality.  Phi_k is monic, so the product of two basis monomials is an
+integer combination of basis monomials; each ring tabulates these once
+(`ScalarRing.table`, one row per slot), and a product is integer
+multiply-adds over the nonzero slot pairs followed by one gcd.  A product
+with a rational operand (only the constant slot nonzero) scales the other
 operand's numerators instead.
 
 Module vectors (`fermion.Vec`) do not hold Scalars: they store integer
@@ -34,15 +33,8 @@ from functools import lru_cache
 import math
 from operator import add, neg, sub
 
-Rat = Fraction
-
-
 class RingMismatchError(ValueError):
     """Raised when combining scalars from rings with different k."""
-
-
-class NotAUnitError(ValueError):
-    """Raised when inverting anything other than a monomial unit q*s^eps*t^m."""
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -84,10 +76,10 @@ def cyclotomic_poly(k: int) -> tuple[int, ...]:
 
 
 class ScalarRing:
-    """The ring Q[t,s]/(Phi_k(t), s^2 - k) for one fixed k.
+    """The field Q(eta, sqrt k) for one fixed k.
 
-    Holds the integer product table of the basis slots and the square-root
-    collapse; acts as a factory for Scalar values.
+    Holds the integer product table of the basis slots; acts as a factory
+    for Scalar values.
     """
 
     def __init__(self, k: int):
@@ -96,8 +88,8 @@ class ScalarRing:
         self.k = k
         phi = cyclotomic_poly(k)
         deg = self.degree = len(phi) - 1
-        root = math.isqrt(k)
-        self.sqrt_collapse = root if root * root == k else None
+        # sqrt k needs a slot of its own only outside Q(eta): k = 2, 3 (mod 4)
+        n = 2 * deg if k % 4 in (2, 3) else deg
 
         # t^m for m up to 2k over the basis 1, t, ..., t^(deg-1).  Products of
         # reduced elements only reach 2*(deg-1), but eta(p) construction wants
@@ -116,10 +108,15 @@ class ScalarRing:
             return tuple((eps * deg + b, scale * c) for b, c in enumerate(tpow[m1 + m2]) if c)
 
         # slot i * slot j -> ((slot, integer coefficient), ...)
-        self.table = tuple(tuple(slot_product(i, j) for j in range(2 * deg)) for i in range(2 * deg))
-        self._zeros = (0,) * (2 * deg - 1)  # every slot but the constant one
+        self.table = tuple(tuple(slot_product(i, j) for j in range(n)) for i in range(n))
+        self._zeros = (0,) * (n - 1)  # every slot but the constant one
         self.zero = Scalar(self, (0,) + self._zeros, 1, True)
         self.one = Scalar(self, (1,) + self._zeros, 1, True)
+        if n > deg:
+            self._sqrt = Scalar(self, (0,) * deg + (1,) + self._zeros[deg:], 1, False)
+        else:
+            gauss = sum((self.eta(a * a) for a in range(k)), self.zero)
+            self._sqrt = gauss if k % 4 == 1 else gauss * (self.one - self.eta(k // 4)) * Fraction(1, 2)
 
     # -- element constructors -------------------------------------------------
 
@@ -134,25 +131,20 @@ class ScalarRing:
         """The scalar with slot numerators num over den > 0, in lowest terms."""
         return _reduced(self, num, den)
 
-    def _slot(self, i: int) -> Scalar:
-        """The basis monomial of slot i."""
-        return Scalar(self, (0,) * i + (1,) + self._zeros[i:], 1, i == 0)
-
     def eta(self, power: int = 1) -> Scalar:
         """t^power, reduced (eta is the fixed primitive k-th root of unity)."""
-        return Scalar(self, self._tpow[power % self.k] + (0,) * self.degree)
+        return Scalar(self, self._tpow[power % self.k] + (0,) * (len(self.table) - self.degree))
 
     def sqrt_k(self) -> Scalar:
-        if self.sqrt_collapse is not None:
-            return self.rational(self.sqrt_collapse)
-        return self._slot(self.degree)
+        """The positive square root of k, for eta = exp(2 pi i / k)."""
+        return self._sqrt
 
     def sqrt_k_pow(self, n: int) -> Scalar:
         """(sqrt k)^n for any integer n, using s^2 = k and s^-1 = s/k."""
         q, r = divmod(n, 2)
         out = self.rational(Fraction(self.k) ** q)
         if r:
-            out = out * self.sqrt_k()
+            out = out * self._sqrt
         return out
 
     def __repr__(self):
@@ -295,24 +287,31 @@ class Scalar:
             return self * (Fraction(1) / Fraction(other))
         return self * other.invert()
 
-    def invert(self) -> "Scalar":
-        """Inverse of a monomial unit q*s^eps*t^m.
-
-        Reduced coefficients can hide the monomial shape (e.g. t^2 = -1 - t for
-        k=3), so instead of inspecting self we search the 2k candidate monomials
-        b = s^eps*t^m for one with self*b rational.
-        """
-        if self.is_zero():
-            raise NotAUnitError("zero is not invertible")
+    def _conjugate(self, j: int, sign: int) -> "Scalar":
+        """The Galois conjugate eta -> eta^j, s -> sign*s (gcd(j, k) == 1)."""
         ring = self.ring
-        eps_range = (0,) if ring.sqrt_collapse is not None else (0, 1)
-        for eps in eps_range:
-            for m in range(ring.k):
-                b = ring._slot(eps * ring.degree) * ring.eta(m)
-                prod = self * b
-                if prod.rat:
-                    return b * Fraction(prod.den, prod.num[0])
-        raise NotAUnitError(f"not a monomial unit: {self.render()}")
+        deg, k, tpow = ring.degree, ring.k, ring._tpow
+        out = [0] * len(self.num)
+        for slot, n in enumerate(self.num):
+            if n:
+                eps, m = divmod(slot, deg)
+                n *= sign if eps else 1
+                for b, c in enumerate(tpow[j * m % k]):
+                    out[eps * deg + b] += n * c
+        return _reduced(ring, out, self.den)
+
+    def invert(self) -> "Scalar":
+        """1/self: the product of the other Galois conjugates over the norm.
+
+        The norm is read through `as_rational`: were the ring not a field of
+        its claimed degree, this would raise instead of answering."""
+        if self.is_zero():
+            raise ZeroDivisionError("zero is not invertible")
+        ring = self.ring
+        signs = (1, -1) if len(ring.table) > ring.degree else (1,)
+        others = math.prod((self._conjugate(j, sign) for j in range(1, ring.k) for sign in signs
+                            if math.gcd(j, ring.k) == 1 and (j, sign) != (1, 1)), start=ring.one)
+        return others * (1 / (self * others).as_rational())
 
     def is_zero(self) -> bool:
         return self.rat and not self.num[0]

@@ -195,7 +195,7 @@ class Vec:
     def terms(self) -> MappingProxyType:
         """Read-only key -> Scalar view, built on each access: for rendering,
         mismatch texts and tests, not for arithmetic."""
-        ring, den, n = self.ring, self.den, 2 * self.ring.degree
+        ring, den, n = self.ring, self.den, len(self.ring.table)
         out = {}
         for key, parts in self._columns().items():
             num = [0] * n

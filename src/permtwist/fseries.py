@@ -239,8 +239,7 @@ class FracSeries:
     def scale(self, c) -> "FracSeries":
         if isinstance(c, (int, Fraction)):
             c = self.ring.rational(c)
-        # a product of nonzero scalars can vanish: the ring has zero divisors at k = 5
-        terms = {key: p for key, v in self.terms.items() if not (p := v * c).is_zero()}
+        terms = {} if c.is_zero() else {key: v * c for key, v in self.terms.items()}
         return self._of(self.ring, self.vars, terms, self.den)
 
     # -- extraction -------------------------------------------------------------

@@ -29,7 +29,7 @@ from permtwist.changeofvars import (
     theta_extract,
     theta_verify,
 )
-from permtwist.exactnum import NotAUnitError, get_ring
+from permtwist.exactnum import get_ring
 from permtwist.fseries import (
     CompositionDomainError,
     FracSeries,
@@ -108,7 +108,7 @@ def test_k3_solver_example():
 def test_zero_leading_coefficient_rejected():
     ring = get_ring(1)
     f = FracSeries.monomial(ring, 1, {"x": 2})
-    with pytest.raises(NotAUnitError):
+    with pytest.raises(ZeroDivisionError):
         solve_exp_coeffs(f, "x", 2, -1)
 
 

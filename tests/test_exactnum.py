@@ -1,14 +1,15 @@
-"""Ring-level sanity for the exact scalar ring Q[t,s]/(Phi_k(t), s^2-k)."""
+"""Field-level sanity for the exact scalar field Q(eta, sqrt k)."""
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
+from sympy.polys.polyerrors import IsomorphismFailed
 from hypothesis import given, settings, strategies as st
 
 from permtwist.exactnum import (
-    NotAUnitError,
     RingMismatchError,
     Scalar,
     cyclotomic_poly,
@@ -70,7 +71,7 @@ def test_sqrt_relation(k):
     s = ring.sqrt_k()
     assert s * s == ring.rational(k)
     assert (s * s).is_rational() and (s * s).as_rational() == k
-    # collapse for perfect squares keeps the ring a field
+    # sqrt k is rational exactly for square k
     assert s.is_rational() == (k in (1, 4))
 
 
@@ -122,10 +123,12 @@ def test_invert_hidden_monomial():
 
 
 def test_invert_rejects_non_units():
+    # in a field zero is the only non-unit
     ring = get_ring(5)
-    with pytest.raises(NotAUnitError):
-        (ring.one + ring.eta()).invert()  # a unit of Z[eta], but not monomial
-    with pytest.raises(NotAUnitError):
+    u = ring.one + ring.eta()  # a unit of Z[eta], but not a monomial
+    assert u.invert() * u == ring.one
+    assert u.invert() == -(ring.eta(1) + ring.eta(3))
+    with pytest.raises(ZeroDivisionError):
         ring.zero.invert()
 
 
@@ -202,10 +205,21 @@ def test_scalar_hash_consistency():
     assert a == a * ring.one
 
 
-# -- an independent oracle: sympy's reduction modulo (Phi_k(t), s^2 - k) ------
+# -- an independent oracle: sympy's number fields -----------------------------
 
 
 _T, _S = sympy.symbols("t s")
+
+
+@lru_cache(maxsize=32)
+def _sympy_sqrt(k):
+    """sqrt k as sympy's polynomial r(t) in t = exp(2 pi i/k), or None when
+    sympy finds sqrt k outside Q(exp(2 pi i/k))."""
+    try:
+        alg = sympy.to_number_field(sympy.sqrt(k), sympy.exp(2 * sympy.pi * sympy.I / k))
+    except IsomorphismFailed:
+        return None
+    return alg.as_poly(_T).as_expr()
 
 
 def _sympy_of(pairs):
@@ -214,11 +228,13 @@ def _sympy_of(pairs):
 
 
 def _sympy_normal_form(k, expr):
-    """{(eps, m): Fraction} of expr reduced by sympy.  For a perfect square
-    k = r^2 the ring sets s = r, so the relation is s - r there."""
-    root = sympy.sqrt(k)
-    rel = _S - root if root.is_Integer else _S**2 - k
-    _, rem = sympy.reduced(sympy.expand(expr), [sympy.cyclotomic_poly(k, _T), rel], _T, _S)
+    """{(eps, m): Fraction} of expr reduced by sympy, modulo Phi_k(t) and
+    s - r(t) where sympy embeds sqrt k as r(t), else s^2 - k."""
+    r = _sympy_sqrt(k)
+    rel = _S**2 - k if r is None else _S - r
+    # s before t: the leading terms s^(1 or 2) and t^deg are coprime, so the
+    # two relations are a Groebner basis and the remainder is the normal form
+    _, rem = sympy.reduced(sympy.expand(expr), [sympy.cyclotomic_poly(k, _T), rel], _S, _T)
     return {
         (eps, m): Fraction(int(c.p), int(c.q))
         for (m, eps), c in sympy.Poly(rem, _T, _S).as_dict().items() if c
@@ -233,7 +249,7 @@ def _coefficients(x):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), _recipes(k, 4), _recipes(k, 4))))
 def test_kernel_matches_sympy_reduction(case):
-    # k = 1, 4 are perfect squares (s collapses); k = 5, 8 have zero divisors
+    # sqrt k lies in Q(eta) at k = 1, 4, 5, 8 and has a slot of its own at k = 2, 3, 6, 7
     k, pa, pb = case
     ring = get_ring(k)
     a, b = _build(ring, pa), _build(ring, pb)
@@ -241,6 +257,35 @@ def test_kernel_matches_sympy_reduction(case):
     assert _coefficients(a * b) == _sympy_normal_form(k, fa * fb)
     assert _coefficients(a + b) == _sympy_normal_form(k, fa + fb)
     assert _coefficients(a - b) == _sympy_normal_form(k, fa - fb)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sqrt_k_matches_sympy_embedding(k):
+    ring = get_ring(k)
+    phi = sympy.totient(k)
+    r = _sympy_sqrt(k)
+    s = ring.sqrt_k()
+    assert s * s == k
+    if r is None:
+        assert len(ring.table) == 2 * phi
+        assert _coefficients(s) == {(1, 0): 1}
+    else:
+        assert len(ring.table) == phi
+        assert _coefficients(s) == _sympy_normal_form(k, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), _recipes(k, 5))))
+def test_every_nonzero_element_inverts(case):
+    k, pairs = case
+    ring = get_ring(k)
+    x = _build(ring, pairs)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.invert()
+        return
+    assert x * x.invert() == ring.one
+    assert x.invert().invert() == x
 
 
 # -- canonical form and the rational fast path ---------------------------------

@@ -272,7 +272,8 @@ def test_window_and_report():
 
 XY = ("x", "y")
 _EXPONENT = st.builds(Fr, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
-# q * s^eps * eta^m pieces; sums of them reach the zero divisors of k = 5
+# q * s^eps * eta^m pieces; at k = 5, where s is an eta sum, sums of them can
+# cancel s against eta terms
 _PIECES = st.lists(
     st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(0, 1), st.integers(0, 4)),
     min_size=1,
@@ -376,15 +377,15 @@ def test_results_are_canonical_and_match_plain_dict_arithmetic(k, raw_a, raw_b, 
         assert got == cls(ring, XY, plain)
 
 
-def test_zero_divisor_products_are_dropped():
-    # at k = 5, g = eta + eta^4 - eta^2 - eta^3 squares to 5, so (s - g)(s + g) = 0
+def test_sqrt5_is_an_eta_sum_and_scale_keeps_every_term():
+    # the Gauss sum at k = 5: sqrt 5 = eta + eta^4 - eta^2 - eta^3, three slots
     ring = get_ring(5)
-    g = ring.eta(1) + ring.eta(4) - ring.eta(2) - ring.eta(3)
-    a = mono(ring, ring.sqrt_k() - g, {"x": Fr(1, 5)})
-    b = mono(ring, ring.sqrt_k() + g, {"x": 1}) + mono(ring, 1, {"x": 2})
-    ab = a * b
-    assert len(ab.terms) == 1 and ab.coefficient({"x": Fr(11, 5)}) == ring.sqrt_k() - g
-    assert a.scale(ring.sqrt_k() + g).is_zero()
+    s, g = ring.sqrt_k(), ring.eta(1) + ring.eta(4) - ring.eta(2) - ring.eta(3)
+    assert s == g and s == -ring.one - ring.eta(2) * 2 - ring.eta(3) * 2
+    assert sum(1 for n in s.num if n) == 3
+    a = mono(ring, s, {"x": Fr(1, 5)}) + mono(ring, 1, {"x": 2})
+    assert a.scale(s - g).is_zero() and not a.scale(s - g).terms
+    assert a.scale(s + g) == mono(ring, 10, {"x": Fr(1, 5)}) + mono(ring, s * 2, {"x": 2})
 
 
 def test_add_term_off_the_lattice_refines_den_and_keeps_earlier_terms():

@@ -2,8 +2,8 @@
 
 A Vec stores integer numerators per basis slot of the ring over one den;
 the oracles in `oracles.py` redo every operation one `Scalar` at a time.
-k runs over 1..8: k = 1 and 4 are perfect squares (s collapses) and k = 5
-and 8 have zero divisors.
+k runs over 1..8: sqrt k lies in Q(eta) at k = 1, 4, 5, 8 (an eta sum,
+rational at the squares 1 and 4) and has slots of its own at k = 2, 3, 6, 7.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from permtwist import exactnum
 from permtwist.changeofvars import _a_solved
 from permtwist.exactnum import RingMismatchError, get_ring
 from permtwist.fermion import Vec, psi_vec, standard_basis, vertex_mode
+from permtwist.fseries import FracSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 KEYS = standard_basis(3)  # 14 states, vacuum through weight 3
@@ -91,17 +92,22 @@ def test_vertex_mode_matches_per_key_scalar_lift(case):
     assert got.den == got.reduce().den  # results come back in lowest terms
 
 
-def test_zero_divisor_product_leaves_no_slots():
-    # k = 5: g = eta + eta^4 - eta^2 - eta^3 has g^2 = 5 = s^2, so
-    # (s - g)(s + g) = 0 with both factors nonzero
-    ring = get_ring(5)
-    g = ring.eta(1) + ring.eta(4) - ring.eta(2) - ring.eta(3)
-    s = ring.sqrt_k()
-    v = psi_vec(ring).scale(s - g)
-    assert not v.is_zero()
-    out = Vec(ring)
-    out.add_scaled(v, s + g)
-    assert out.is_zero() and out.slots == {} and out == Vec(ring)
+def _nonzero_case(k):
+    nonzero = _scalars(k).filter(lambda c: not c.is_zero())
+    return st.tuples(st.just(k), nonzero, nonzero, _terms(k).filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(_nonzero_case))
+def test_nonzero_products_stay_nonzero(case):
+    # the ring is a field, so FracSeries.scale keeps every term of a nonzero factor
+    k, a, b, terms = case
+    ring = get_ring(k)
+    assert not (a * b).is_zero()
+    v = Vec(ring, terms).scale(a)
+    assert not v.is_zero() and set(v.keys()) == set(terms)
+    series = FracSeries(ring, ("x",), {(i,): c for i, c in enumerate((a, b, a * b))})
+    assert len(series.scale(b).terms) == 3
 
 
 def test_add_scaled_into_itself():

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
-from .exactnum import Scalar, ScalarRing, get_ring
+from .exactnum import ScalarRing, get_ring
 from .fseries import (
     CheckReport,
     CompositionDomainError,
@@ -56,16 +56,14 @@ Fr = Fraction
 class ExpCoeffs:
     """Solution of f = exp(sign * sum_j A_j var^{j+1} d/dvar) a0^{var d/dvar} var.
 
-    A[j-1] holds A_j.  Entries are Scalars for a scalar solve and FracSeries
-    (in the remaining variables) for a parametric solve.  a0 is the
-    coefficient of var^1; a0_sqrt is a chosen square root of it when one is
-    available (always, in the parametric unit-leading-coefficient case).
+    A[j-1] holds A_j and a0 is the coefficient of var^1.  A scalar solve
+    (no trunc) holds each constant entry as a Scalar; a parametric solve
+    holds FracSeries in the remaining variables.
     """
 
     var: str
     sign: int
     a0: object
-    a0_sqrt: object
     A: list
 
     def rationals(self) -> tuple[Fraction, ...]:
@@ -101,25 +99,15 @@ class ThetaSeries:
 # ---------------------------------------------------------------------------
 
 
-def _maybe_scalar(s: FracSeries) -> Scalar | None:
-    """The constant value of s if s is a constant (possibly zero), else None."""
+def _maybe_scalar(s: FracSeries):
+    """The Scalar value of s if s is a constant (possibly zero), else s."""
     if not s.terms:
         return s.ring.zero
     if len(s.terms) == 1:
         (exps, c), = s.terms.items()
-        if all(e == 0 for e in exps):
+        if not any(exps):
             return c
-    return None
-
-
-def _series_reciprocal(s: FracSeries, trunc):
-    """1/s: monomial fast path, else invert_series on the trunc variable."""
-    if len(s.terms) == 1:
-        (key, c), = s.terms.items()
-        return FracSeries._of(s.ring, s.vars, {tuple(-n for n in key): c.invert()}, s.den)
-    if trunc is None:
-        raise CompositionDomainError("series-valued leading coefficient needs trunc=(var, order)")
-    return invert_series(s, trunc[0], trunc[1])
+    return s
 
 
 def _apply_flow(coeffs: dict, var: str, s: FracSeries, sign: int) -> FracSeries:
@@ -151,23 +139,16 @@ def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trun
     return power_sum(seed, step, inverse_factorial, int(Fraction(order)) + 2)
 
 
-def solve_exp_coeffs(
-    f: FracSeries,
-    var: str,
-    order: int,
-    sign: int,
-    *,
-    trunc=None,
-    collapse: bool = True,
-) -> ExpCoeffs:
+def solve_exp_coeffs(f: FracSeries, var: str, order: int, sign: int, *, trunc=None) -> ExpCoeffs:
     """Solve f = exp(sign * sum_{j<=order} A_j var^{j+1} d/dvar) a0^{var d/dvar} var.
 
     f must lie in var * R[[var]] (integer var-exponents >= 1).  At order
     var^{m+1} the unknown A_m enters linearly with coefficient sign * a0 and
     everything else is already determined, so the solution is unique and is
-    read off order by order.  Division happens only by a0: a monomial
-    a0 inverts exactly, a series-valued a0 runs through invert_series and
-    then requires trunc=(aux_var, aux_order).
+    read off order by order.  Division happens only by a0, through
+    invert_series: a monomial a0 inverts exactly, a series-valued a0 needs
+    trunc=(aux_var, aux_order).  Without trunc the solve is a scalar solve
+    and every constant entry is returned as a Scalar.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -177,7 +158,7 @@ def solve_exp_coeffs(
     a0 = f.coefficient_in(var, 1)
     if a0.is_zero():
         raise ZeroDivisionError("zero leading coefficient")
-    a0_inv = _series_reciprocal(a0, trunc)
+    a0_inv = invert_series(a0, *(trunc or (var, 0)))
     known: list = []
     for m in range(1, order + 1):
         built = exp_flow(f.ring, known, var, m + 1, sign, a0=a0, trunc=trunc)
@@ -185,17 +166,9 @@ def solve_exp_coeffs(
         if trunc is not None:
             resid = resid.truncate(trunc[0], trunc[1])
         known.append(resid * Fr(sign))
-    a0_sqrt = None
-    c = _maybe_scalar(a0)
-    if c is None:
-        a0_sqrt = unit_pow(a0, Fr(1, 2), trunc[0], trunc[1])
-    elif c == f.ring.one:
-        a0_sqrt = f.ring.one
-    if collapse:
-        a0c = _maybe_scalar(a0)
-        a0 = a0c if a0c is not None else a0
-        known = [(_maybe_scalar(c) if _maybe_scalar(c) is not None else c) for c in known]
-    return ExpCoeffs(var, sign, a0, a0_sqrt, known)
+    if trunc is None:
+        a0, known = _maybe_scalar(a0), [_maybe_scalar(c) for c in known]
+    return ExpCoeffs(var, sign, a0, known)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +232,7 @@ def compositional_inverse(f: FracSeries, var: str, order: int) -> FracSeries:
     Independent of any closed form: g_m is solved from the var^m coefficient
     of f(g) = var, dividing only by the leading coefficient of f.
     """
-    f1inv = _series_reciprocal(f.coefficient_in(var, 1), None)
+    f1inv = invert_series(f.coefficient_in(var, 1), var, 0)
     g = f1inv * FracSeries.monomial(f.ring, 1, {var: 1})
     for m in range(2, order + 1):
         comp = f.substitute(var, g, var, m)
@@ -346,44 +319,10 @@ def theta_extract(k: int, order: int, trunc_order: int | None = None) -> ThetaSe
     ring = get_ring(k)
     ox = trunc_order if trunc_order is not None else order + 2
     big_f = recomposed_series(ring, k, ox)
-    sol = solve_exp_coeffs(big_f, "w", order, +1, trunc=("x", ox), collapse=False)
+    sol = solve_exp_coeffs(big_f, "w", order, +1, trunc=("x", ox))
     theta0 = log_series(sol.a0, "x", ox) * Fr(1, 2)
-    exp0 = sol.a0_sqrt
-    if not isinstance(exp0, FracSeries):  # constant a0 (k = 1) collapses to a Scalar
-        exp0 = FracSeries.monomial(ring, exp0, {}, vars=("x", "z"))
+    exp0 = unit_pow(sol.a0, Fr(1, 2), "x", ox)
     return ThetaSeries(k, order, ox, [theta0] + list(sol.A), exp0, sol.a0)
-
-
-def substitute_monomial(s: FracSeries, var: str, coeff: Fraction, exps: dict) -> FracSeries:
-    """Substitute var -> coeff * prod(v^e) exactly (no truncation needed).
-
-    var-exponents must be nonnegative integers unless coeff == 1 (a general
-    rational raised to a fractional power has no canonical value here).
-    """
-    if var not in s.vars:
-        return s
-    coeff = Fr(coeff)
-    i = s.vars.index(var)
-    rest = s.vars[:i] + s.vars[i + 1 :]
-    allvars = tuple(sorted(set(rest) | set(exps)))
-    idx = [rest.index(v) if v in rest else None for v in allvars]
-    # over den = s.den * m, a var-numerator d lands d * exps[v] * m on v
-    m = lcm(*(Fr(e).denominator for e in exps.values()))
-    spread = [int(Fr(exps.get(v, 0)) * m) for v in allvars]
-    out = FracSeries._of(s.ring, allvars, {}, s.den * m)
-    for old, c in s.terms.items():
-        d = old[i]
-        power, r = divmod(d, s.den)
-        if r or d < 0:
-            if coeff != 1:
-                raise CompositionDomainError(f"cannot raise coefficient {coeff} to power {Fr(d, s.den)}")
-            scaled = c
-        else:
-            scaled = c * coeff ** power
-        old_rest = old[:i] + old[i + 1 :]
-        out.add_at(tuple((0 if j is None else old_rest[j] * m) + d * t for j, t in zip(idx, spread)),
-                   scaled)
-    return out
 
 
 def theta_verify(k: int, order: int = 4, z0_order: int = 6) -> list[CheckReport]:
@@ -398,12 +337,12 @@ def theta_verify(k: int, order: int = 4, z0_order: int = 6) -> list[CheckReport]
     ring = get_ring(k)
     ts = theta_extract(k, order, trunc_order=z0_order)
     a = a_table(k, max(order, 2))
-    sub = {"z": Fr(1, k) - 1, "z0": Fr(1)}
+    sub = FracSeries.monomial(ring, Fr(1, k), {"z": Fr(1, k) - 1, "z0": 1})
     win = Window.of(z0=(0, z0_order))
     convention = "odd coordinate scales by exp(+Theta_0)"
     reports = []
     for j in range(1, order + 1):
-        lhs = substitute_monomial(ts.theta[j], "x", Fr(1, k), sub)
+        lhs = ts.theta[j].substitute("x", sub, "z0", z0_order)
         rhs = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(-j, k), z0_order) * (-a[j - 1])
         reports.append(
             assert_equal_on_window(
@@ -412,7 +351,7 @@ def theta_verify(k: int, order: int = 4, z0_order: int = 6) -> list[CheckReport]
                 k=k, detail=convention,
             )
         )
-    lhs0 = substitute_monomial(ts.exp_theta0, "x", Fr(1, k), sub)
+    lhs0 = ts.exp_theta0.substitute("x", sub, "z0", z0_order)
     rhs0 = binom_expand(
         ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(k - 1, 2 * k), z0_order
     ).shift_exponents("z", -Fr(k - 1, 2 * k))
@@ -543,26 +482,21 @@ def superfield_generator(j: int, s: FracSeries, odd: bool, x: str = "x") -> Frac
 
 
 def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> FracSeries:
-    """exp(sum_j a_j z^{-j/k} L_j(x,phi)) . k^{-2L_0/2-ish graded scaling} . s.
+    """exp(sum_j a_j z^{-j/k} L_j(x,phi)) . (graded dilation) . s.
 
     For odd, s stands for phi s, and the result is the series that phi
-    multiplies in the image.  The graded part scales a term x^d phi^p by
-    k^{d+p/2} z^{(k-1)(d+p/2)/k} (the group-like dilation that sends x to
-    k z^{(k-1)/k} x); then the exponential of the degree-raising generators
-    is applied, truncated in x.  The whole transform is the operator route
-    to the closed forms of rep_apply(..., forward=True) and is checked
-    against them.
+    multiplies in the image.  The graded dilation is the substitution
+    x -> k z^{(k-1)/k} x, and on phi the factor k^{1/2} z^{(k-1)/2k}; then
+    the exponential of the degree-raising generators is applied, truncated
+    in x.  The whole transform is the operator route to the closed forms of
+    rep_apply(..., forward=True) and is checked against them.
     """
     ring = s.ring
     a = a_table(k, int(trunc_order) + 1)
-    seed = FracSeries.zero(ring, s.vars)
-    xi = s.vars.index("x") if "x" in s.vars else None
-    for key, c in s.terms.items():
-        exps = [Fr(n, s.den) for n in key]
-        half = (exps[xi] if xi is not None else 0) + Fr(odd, 2)
-        exps = [e + Fr(k - 1, k) * half if v == "z" else e for v, e in zip(s.vars, exps)]
-        seed.add_term(exps, c * ring.sqrt_k_pow(int(2 * half)))
-    seed = seed.with_vars(("z",))
+    dilation = FracSeries.monomial(ring, k, {"x": 1, "z": Fr(k - 1, k)})
+    seed = s.substitute("x", dilation, "x", trunc_order)
+    if odd:
+        seed = seed.shift_exponents("z", Fr(k - 1, 2 * k)) * ring.sqrt_k()
 
     def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)

@@ -337,7 +337,11 @@ def cmd_theta(args) -> int:
 def cmd_report(args) -> int:
     out_dir = args.out or os.environ.get("PERMTWIST_REPORT_DIR") or "./reports"
     path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"cannot use {out_dir!r} as the report directory: {err.strerror}", file=sys.stderr)
+        return 2
     cfg = RunConfig(ks=(1, 2, 3, 4, 5), full=args.full)
     rows = collect(CHECK_NAMES, cfg)
     lines = []

@@ -437,9 +437,11 @@ def inverse_factorial(j: int) -> Fraction:
 def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str) -> FracSeries:
     """sum_j coeff(j) r^j truncated above trunc_var^trunc_order, for r of
     strictly positive trunc_var-order emin: r^j vanishes once j*emin exceeds
-    trunc_order, so the sum always ends within its limit."""
+    trunc_order, so the sum always ends within its limit.  A trunc_var that
+    r does not mention has exponent 0 in it."""
     limit = 1
     if not r.is_zero():
+        r = r.with_vars((trunc_var,))
         i = r.vars.index(trunc_var)
         emin = Fraction(min(key[i] for key in r.terms), r.den)
         if emin <= 0:
@@ -450,9 +452,12 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
 
 
 def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
-    """1/s for s with a unique invertible leading monomial in trunc_var."""
+    """1/s for s with a unique invertible leading monomial in trunc_var.  A
+    trunc_var that s does not mention has exponent 0 in it, so a monomial
+    inverts exactly at any trunc_order."""
     if not s.terms:
         raise CompositionDomainError("leading term of zero series")
+    s = s.with_vars((trunc_var,))
     i = s.vars.index(trunc_var)
     emin = min(key[i] for key in s.terms)
     hits = [key for key in s.terms if key[i] == emin]

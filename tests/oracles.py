@@ -1,8 +1,9 @@
 """Independent oracles shared by the tests: the Clifford action, the cyclic
 permutation action and its eigenprojections, per-key Scalar arithmetic on
 module vectors, the vertex-mode recursion with only the vacuum as its base
-case, the bracket of two fields assembled by hand, and the cross-slot
-iterate as a residue sum over explicit indices.
+case, the bracket of two fields assembled by hand, the cross-slot iterate
+as a residue sum over explicit indices, and the substitution of a monomial
+for a variable, term by term.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -28,7 +29,7 @@ from permtwist.fermion import (
     two_sided,
     vec_equal_on_window,
 )
-from permtwist.fseries import CheckReport, Window
+from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window
 from permtwist.twistor import _parts_field, twisted_floor
 
 # ---------------------------------------------------------------------------
@@ -301,4 +302,41 @@ def iterate_residue_reference(u: Vec, jobs, v: Vec, s2: int, w: Vec, N: int) -> 
                     acc.add_scaled(vecsum, ph_by_i[i][cls])
                 out[ci].add_term((Fr(x0e), x2e), acc.reduce())
             x2e += Fr(1, k)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# monomial substitution, term by term
+# ---------------------------------------------------------------------------
+
+
+def substitute_monomial(s: FracSeries, var: str, coeff: Fr, exps: dict) -> FracSeries:
+    """Substitute var -> coeff * prod(v^e) exactly (no truncation needed).
+
+    var-exponents must be nonnegative integers unless coeff == 1 (a general
+    rational raised to a fractional power has no canonical value here).
+    """
+    if var not in s.vars:
+        return s
+    coeff = Fr(coeff)
+    i = s.vars.index(var)
+    rest = s.vars[:i] + s.vars[i + 1 :]
+    allvars = tuple(sorted(set(rest) | set(exps)))
+    idx = [rest.index(v) if v in rest else None for v in allvars]
+    # over den = s.den * m, a var-numerator d lands d * exps[v] * m on v
+    m = math.lcm(*(Fr(e).denominator for e in exps.values()))
+    spread = [int(Fr(exps.get(v, 0)) * m) for v in allvars]
+    out = FracSeries._of(s.ring, allvars, {}, s.den * m)
+    for old, c in s.terms.items():
+        d = old[i]
+        power, r = divmod(d, s.den)
+        if r or d < 0:
+            if coeff != 1:
+                raise CompositionDomainError(f"cannot raise coefficient {coeff} to power {Fr(d, s.den)}")
+            scaled = c
+        else:
+            scaled = c * coeff ** power
+        old_rest = old[:i] + old[i + 1 :]
+        out.add_at(tuple((0 if j is None else old_rest[j] * m) + d * t for j, t in zip(idx, spread)),
+                   scaled)
     return out

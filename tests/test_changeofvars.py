@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permtwist.changeofvars import (
-    ExpCoeffs,
     a_table,
     compositional_inverse,
     compute_a,
@@ -23,7 +22,6 @@ from permtwist.changeofvars import (
     rep_apply,
     rep_identity_check,
     solve_exp_coeffs,
-    substitute_monomial,
     superfield_exp_check,
     superfield_transform,
     theta_extract,
@@ -36,6 +34,8 @@ from permtwist.fseries import (
     Window,
     assert_equal_on_window,
 )
+
+from oracles import substitute_monomial
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,37 @@ def test_theta1_k3_at_x_zero():
     assert const == FracSeries.monomial(get_ring(3), 1, {"z": F(-1, 3)})
 
 
+def _theta_point(k):
+    """(1/k) z^(1/k-1) z0, the point the Theta closed forms are read at."""
+    return FracSeries.monomial(get_ring(k), F(1, k), {"z": F(1, k) - 1, "z0": 1})
+
+
 def test_exp_theta0_k3_first_order():
     # exp(Theta_0) -> z^{-1/3}(z+z0)^{1/3}; its z0^1 coefficient is (1/3) z^{-1}
     ts = theta_extract(3, 1, trunc_order=3)
-    sub = substitute_monomial(ts.exp_theta0, "x", F(1, 3), {"z": F(-2, 3), "z0": 1})
+    sub = ts.exp_theta0.substitute("x", _theta_point(3), "z0", 3)
     c1 = sub.coefficient_in("z0", 1)
     assert c1 == FracSeries.monomial(get_ring(3), F(1, 3), {"z": -1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    terms=st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=-6, max_value=6)),
+        small_fractions.filter(lambda q: q != 0),
+        max_size=6,
+    ),
+    c=small_fractions.filter(lambda q: q != 0),
+    a=st.fractions(min_value=-2, max_value=2, max_denominator=5),
+)
+def test_substitute_matches_the_monomial_reference(k, terms, c, a):
+    # s(x, z) with nonnegative integer x-powers; x -> c z^a z0 is exact in
+    # z0 through the largest x-power, so substitute truncates nothing
+    ring = get_ring(k)
+    s = FracSeries(ring, ("x", "z"), {(F(d), F(n, k)): v for (d, n), v in terms.items()})
+    mono = FracSeries.monomial(ring, c, {"z": a, "z0": 1})
+    assert s.substitute("x", mono, "z0", 4) == substitute_monomial(s, "x", c, {"z": a, "z0": 1})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -310,7 +335,7 @@ def test_theta_negative_control_wrong_sign():
     # flipping the sign of the closed form must be caught
     ring = get_ring(3)
     ts = theta_extract(3, 1, trunc_order=4)
-    lhs = substitute_monomial(ts.theta[1], "x", F(1, 3), {"z": F(-2, 3), "z0": 1})
+    lhs = ts.theta[1].substitute("x", _theta_point(3), "z0", 4)
     from permtwist.fseries import binom_expand
 
     a = a_table(3, 2)

@@ -157,3 +157,18 @@ def test_report_out_flag_overrides_env(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert (tmp_path / "chosen" / "checks.jsonl").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_report_out_that_cannot_be_a_directory_exits_two(tmp_path, monkeypatch, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "reports"
+    ran = []
+    monkeypatch.setattr(cli, "collect", lambda *args: ran.append(args) or [])
+    assert cli.main(["report", "--out", str(out)]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+    assert blocker.read_text() == "not a directory\n"

@@ -140,6 +140,18 @@ def test_invert_series_roundtrip():
     assert (s * inv).truncate("x", 6) == FracSeries.one(R1).with_vars(("x",)).truncate("x", 6)
 
 
+def test_absent_truncation_variable_has_exponent_zero():
+    # a monomial that does not mention x inverts exactly at any order
+    assert invert_series(mono(R1, 2, {"z": 1}), "x", 3) == mono(R1, Fr(1, 2), {"z": -1})
+    # a series that does not mention x has no tail of positive x-order
+    with pytest.raises(CompositionDomainError, match="x"):
+        unit_pow(FracSeries.one(R1) + mono(R1, 1, {"z": 1}), Fr(1, 2), "x", 3)
+    # z + z^2 has two leading x-terms, both at x^0
+    repl = mono(R1, 1, {"z": 1}) + mono(R1, 1, {"z": 2})
+    with pytest.raises(CompositionDomainError, match="x"):
+        mono(R1, 1, {"y": -1}).substitute("y", repl, "x", 4)
+
+
 def test_unit_pow_log_exp():
     s = FracSeries.one(R1) + mono(R1, 1, {"x": 1})
     sq = unit_pow(s, Fr(1, 2), "x", 5)

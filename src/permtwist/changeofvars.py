@@ -392,23 +392,33 @@ def rep_apply(ring: ScalarRing, k: int, n: int, odd: bool, trunc_order, forward:
     are expanded in ascending powers of x (for (x+z)^e this means nonnegative
     integer x-powers about x = 0).
     """
-    deep = Fr(trunc_order) + max(0, -n)
+    return next(rep_walk(ring, k, n, n, trunc_order, forward, (odd,)))[0]
+
+
+def rep_walk(ring: ScalarRing, k: int, lo: int, hi: int, trunc_order, forward: bool = True,
+             parities=(False, True)):
+    """For n = lo..hi, yield the tuple of rep_apply(ring, k, n, odd, ...) over
+    odd in parities.  The image of x and the dressing are built once, at the
+    depth x^lo needs; x^lo is one substitute and each next power one product."""
+    deep = Fr(trunc_order) + max(0, -lo)
     if forward:
-        base = FracSeries(
-            ring, ("x", "z"), {(Fr(i), Fr(k - i, k)): comb(k, i) for i in range(1, k + 1)}
-        )
+        base = FracSeries(ring, ("x", "z"), {(Fr(i), Fr(k - i, k)): comb(k, i) for i in range(1, k + 1)})
         dress_exp, dress_lead, scale = Fr(k - 1, 2), {"z": Fr(1, k)}, ring.sqrt_k()
     else:
         full = binom_expand(ring, (1, {"z": 1}), (1, {"x": 1}), Fr(1, k), int(deep) + 1)
         base = full - FracSeries.monomial(ring, 1, {"z": Fr(1, k)})
         dress_exp, dress_lead, scale = Fr(1 - k, 2 * k), {"z": 1}, ring.sqrt_k_pow(-1)
-    img = FracSeries.monomial(ring, 1, {"y": n}).substitute("y", base, "x", trunc_order)
-    if odd:
-        # the dressing must reach degree trunc_order + |n|: low-degree terms of
-        # x^n pair with high-degree dressing terms inside the trusted window
-        dress = binom_expand(ring, (1, dress_lead), (1, {"x": 1}), dress_exp, int(deep) + 1)
-        img = (img * dress).truncate("x", trunc_order) * scale
-    return img
+    if True in parities:
+        # the dressing must reach degree trunc_order + |lo|: low-degree terms of
+        # x^lo pair with high-degree dressing terms inside the trusted window
+        dress = binom_expand(ring, (1, dress_lead), (1, {"x": 1}), dress_exp, int(deep) + 1) * scale
+    img = FracSeries.monomial(ring, 1, {"y": lo}).substitute("y", base, "x", trunc_order)
+    for n in range(lo, hi + 1):
+        if n > lo:
+            # base has x-order 1, so a term x^e (e > trunc_order) missing from
+            # the image of x^(n-1) only reaches exponents above trunc_order + 1
+            img = (img * base).truncate("x", trunc_order)
+        yield tuple((img * dress).truncate("x", trunc_order) if odd else img for odd in parities)
 
 
 def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[CheckReport]:
@@ -420,38 +430,34 @@ def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[
     applied to every basis vector x^n and phi x^n with |n| <= n_window,
     comparing exact coefficients for x-exponents within the trusted window.
     """
+    if n_window < 0:
+        raise ValueError(f"n_window must be >= 0, got {n_window}")
     ring = get_ring(k)
     out = []
-    for forward, name, anchor in (
+    for forward, name, anchor, dz, c in (
         (True, "rep.forward-transport",
-         "-T d/dx + (1/k) z^(1/k-1) d/dx T == d/dz T on x^n, phi x^n"),
+         "-T d/dx + (1/k) z^(1/k-1) d/dx T == d/dz T on x^n, phi x^n", Fr(1, k) - 1, Fr(1, k)),
         (False, "rep.inverse-transport",
-         "-S d/dx + k z^(-1/k+1) d/dx S == k z^(-1/k+1) d/dz S on x^n, phi x^n"),
+         "-S d/dx + k z^(-1/k+1) d/dx S == k z^(-1/k+1) d/dz S on x^n, phi x^n", 1 - Fr(1, k), Fr(k)),
     ):
         win = Window.of(x=(-n_window - 1, trunc_order - 1))
         failure = None
-        # the image of x^(n-1) (even and odd), carried over from the step before
-        prev = {odd: rep_apply(ring, k, -n_window - 1, odd, trunc_order, forward) for odd in (False, True)}
-        for n in range(-n_window, n_window + 1):
-            for odd in (False, True):
-                img = rep_apply(ring, k, n, odd, trunc_order, forward)
-                d_img = img.derivative("x")
+        walk = rep_walk(ring, k, -n_window - 1, n_window, trunc_order, forward)
+        # the images of x^(n-1) and phi x^(n-1), carried over from the step before
+        prev = next(walk)
+        for n, imgs in enumerate(walk, -n_window):
+            for odd, (img, before) in enumerate(zip(imgs, prev)):
                 # T(d/dx basis) = n * T(basis with exponent n-1), by linearity
-                t_db = prev[odd] * Fr(n)
-                prev[odd] = img
-                if forward:
-                    lhs = -t_db + d_img.shift_exponents("z", Fr(1, k) - 1) * Fr(1, k)
-                    rhs = img.derivative("z")
-                else:
-                    lhs = -t_db + d_img.shift_exponents("z", -Fr(1, k) + 1) * Fr(k)
-                    rhs = img.derivative("z").shift_exponents("z", -Fr(1, k) + 1) * Fr(k)
-                tag = ("phi " if odd else "") + f"x^{n}"
+                t_db = before * Fr(n)
+                lhs = -t_db + img.derivative("x").shift_exponents("z", dz) * c
+                rhs = img.derivative("z") if forward else img.derivative("z").shift_exponents("z", dz) * c
                 sub = assert_equal_on_window(lhs, rhs, win, name, k=k)
                 if sub.status != "pass":
-                    failure = f"[{tag}] {sub.first_mismatch}"
+                    failure = f"[{'phi ' if odd else ''}x^{n}] {sub.first_mismatch}"
                     break
             if failure:
                 break
+            prev = imgs
         out.append(
             CheckReport(
                 name, (anchor,), win.render(),

@@ -21,6 +21,7 @@ from permtwist.changeofvars import (
     recomposition_cross_check,
     rep_apply,
     rep_identity_check,
+    rep_walk,
     solve_exp_coeffs,
     superfield_exp_check,
     superfield_transform,
@@ -404,18 +405,60 @@ def test_rep_identity_check_fails_on_a_perturbed_odd_image(monkeypatch):
     # one coefficient of the forward odd image of phi x^1 is off by one
     import permtwist.changeofvars as cv
 
-    def perturbed(ring, k, n, odd, trunc_order, forward=True):
-        img = rep_apply(ring, k, n, odd, trunc_order, forward)
-        if forward and odd and n == 1:
-            key = min(img.terms)  # lowest x-exponent, inside the window
-            img = img + FracSeries(ring, img.vars, {tuple(F(n, img.den) for n in key): 1})
-        return img
+    walk = cv.rep_walk
 
-    monkeypatch.setattr(cv, "rep_apply", perturbed)
+    def perturbed(ring, k, lo, hi, trunc_order, forward=True):
+        for n, (even, odd) in enumerate(walk(ring, k, lo, hi, trunc_order, forward), lo):
+            if forward and n == 1:
+                key = min(odd.terms)  # lowest x-exponent, inside the window
+                odd = odd + FracSeries(ring, odd.vars, {tuple(F(e, odd.den) for e in key): 1})
+            yield even, odd
+
+    monkeypatch.setattr(cv, "rep_walk", perturbed)
     fwd, inv = rep_identity_check(3, n_window=2, trunc_order=6)
     assert fwd.status == "fail"
     assert fwd.first_mismatch.startswith("[phi x^1] at ")
     assert inv.status == "pass"
+
+
+@pytest.mark.parametrize("trunc_order", [6, 8])
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_rep_walk_matches_per_power_rep_apply(k, forward, trunc_order):
+    # one walk from x^-7 (one substitute, then one product per power) against
+    # a substitute of its own for every power and parity
+    ring = get_ring(k)
+    walk = rep_walk(ring, k, -7, 6, trunc_order, forward)
+    for n, images in enumerate(walk, -7):
+        for odd, img in zip((False, True), images):
+            assert img == rep_apply(ring, k, n, odd, trunc_order, forward), (n, odd)
+
+
+def test_rep_identity_check_runs_one_substitute_per_direction(monkeypatch):
+    # the image of the lowest power is the only substitute (and the only
+    # inversion) of each direction; every higher power is one product
+    import permtwist.fseries as fs
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fs, "invert_series", counting("invert_series", fs.invert_series))
+    monkeypatch.setattr(FracSeries, "substitute", counting("substitute", FracSeries.substitute))
+    rep_identity_check(3, n_window=2, trunc_order=8)
+    assert calls.count("invert_series") == 2
+    assert calls.count("substitute") == 2
+
+
+def test_rep_identity_check_rejects_a_negative_window():
+    # n_window = -1 would compare nothing and pass
+    with pytest.raises(ValueError, match="n_window"):
+        rep_identity_check(3, n_window=-1)
+    assert [r.status for r in rep_identity_check(1, n_window=0, trunc_order=4)] == ["pass", "pass"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

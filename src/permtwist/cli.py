@@ -215,7 +215,8 @@ def emit(rows, out=None) -> int:
 
 
 def _parse_ks(values, default=()) -> tuple[int, ...]:
-    ks = tuple(values) if values else default
+    """The --k values once each, in first-seen order (default when none)."""
+    ks = tuple(dict.fromkeys(values)) if values else default
     bad = [k for k in ks if k < 1]
     if bad:
         print(f"--k values must be >= 1, got {bad[0]}", file=sys.stderr)
@@ -324,14 +325,10 @@ def cmd_check(args) -> int:
 
 def cmd_theta(args) -> int:
     _require_order(args.order)
-    rows = []
-    for k in args.k:
-        if k < 2:
-            print("theta checks need k >= 2", file=sys.stderr)
-            return 2
-        for rep in theta_verify(k, order=args.order):
-            rows.append(("theta", rep))
-    return emit(rows)
+    if min(args.k) < 2:
+        print("theta checks need k >= 2", file=sys.stderr)
+        return 2
+    return emit([("theta", rep) for k in _parse_ks(args.k) for rep in theta_verify(k, order=args.order)])
 
 
 def cmd_report(args) -> int:

@@ -355,6 +355,9 @@ class FracSeries:
         inverse has order -d, so it is built, and the negative powers are
         chained, through trunc_order + |e| d for the most negative power e:
         then every power still holds each term through trunc_order.
+
+        The result keeps self's class: a vector series substitutes like a
+        scalar one, each vector group times a scalar power.
         """
         if var not in self.vars:
             return self
@@ -372,7 +375,7 @@ class FracSeries:
         powers = {0: FracSeries.one(self.ring)}
         # step -> (repl or its inverse, the depth its powers are chained at)
         base = {1: (repl, trunc_order)}
-        out = FracSeries.zero(self.ring, ())
+        out = self._of(self.ring, (), {}, 1)
         for e, terms in sorted(groups.items()):
             if e not in powers:
                 step = 1 if e > 0 else -1
@@ -386,7 +389,7 @@ class FracSeries:
                     near -= step
                 for m in range(near + step, e + step, step):
                     powers[m] = (powers[m - step] * factor).truncate(trunc_var, depth)
-            out = out + FracSeries._of(self.ring, rest, terms, self.den) * powers[e]
+            out = out + self._of(self.ring, rest, terms, self.den) * powers[e]
         return out.truncate(trunc_var, trunc_order)
 
     # -- rendering ----------------------------------------------------------------

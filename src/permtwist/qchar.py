@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Fr
+from functools import partial
 
 from .exactnum import get_ring
 from .fermion import (
@@ -195,32 +196,24 @@ def corollary_check(k: int, cutoff=2, *, a_override=None) -> CheckReport:
     bare form:     tr_T q^(L^g(0)) == q^((k^2-1)/48k) tr_M q^(L(0)/k)
     """
     cutoff = Fr(cutoff)
-    win = Window.of(q=(Fr(-k, 48), cutoff))
-    anchors = (
-        "tr_T q^(Lg(0)-kc/24) == (tr_M q^(L(0)-c/24))|q->q^(1/k)",
-        "tr_T q^(Lg(0)) == q^((k^2-1)/48k) tr_M q^(L(0)/k)",
-    )
+    report = partial(CheckReport, "character.twisted-vs-substitution",
+                     ("tr_T q^(Lg(0)-kc/24) == (tr_M q^(L(0)-c/24))|q->q^(1/k)",
+                      "tr_T q^(Lg(0)) == q^((k^2-1)/48k) tr_M q^(L(0)/k)"),
+                     Window.of(q=(Fr(-k, 48), cutoff)).render(), k=k)
     try:
         lhs = char_twisted(k, cutoff, a_override=a_override)
         lhs_bare = char_twisted(k, cutoff, anomaly=False, a_override=a_override)
     except (ValueError, ArithmeticError) as exc:
         # a spectrum that leaves the 1/48k lattice (or stops being diagonal)
         # cannot match any substitution character
-        return CheckReport(
-            "character.twisted-vs-substitution", anchors, win.render(), "fail",
-            first_mismatch=f"twisted spectrum unusable: {exc}", k=k,
-        )
+        return report("fail", first_mismatch=f"twisted spectrum unusable: {exc}")
     rhs = char_plain(k * cutoff).subs_root(k)
     ok1, witness1 = qseries_equal(lhs, rhs)
     rhs_bare = char_plain(k * cutoff, anomaly=False).subs_root(k).shifted(Fr(k * k - 1, 48 * k))
     ok2, witness2 = qseries_equal(lhs_bare, rhs_bare)
-    status = "pass" if ok1 and ok2 else "fail"
-    return CheckReport(
-        "character.twisted-vs-substitution", anchors, win.render(), status,
-        first_mismatch=witness1 or witness2,
-        detail=f"twisted character starts {lhs.render(3)}" if status == "pass" else None,
-        k=k,
-    )
+    if ok1 and ok2:
+        return report("pass", detail=f"twisted character starts {lhs.render(3)}")
+    return report("fail", first_mismatch=witness1 or witness2)
 
 
 def tensor_power_check(k: int, cutoff=2) -> CheckReport:
@@ -248,25 +241,14 @@ def evidence_even(k: int, cutoff=1) -> CheckReport:
     """
     if k % 2 == 1:
         raise ValueError("odd k admits the construction; nothing to evidence")
-    anchors = (
-        "no (1/k)Z-graded twisted module at even k: grading mode refused with coset certificate",
-    )
-    win = Window.of(q=(Fr(-k, 48), Fr(cutoff)))
+    report = partial(CheckReport, "character.even-order-evidence",
+                     ("no (1/k)Z-graded twisted module at even k: grading mode refused with coset certificate",),
+                     Window.of(q=(Fr(-k, 48), Fr(cutoff))).render(), k=k)
     try:
         char_twisted(k, cutoff)
     except ObstructionError as exc:
         would = char_plain(k * Fr(cutoff)).subs_root(k)
-        return CheckReport(
-            "character.even-order-evidence", anchors, win.render(),
-            "expected-obstruction",
-            detail=(
-                f"mode lattice confined to {exc.offset} + {exc.step}*Z;"
-                f" the substitution series {would.render(3)} has no spectral realization"
-            ),
-            k=k,
-        )
-    return CheckReport(
-        "character.even-order-evidence", anchors, win.render(), "fail",
-        first_mismatch="twisted grading mode unexpectedly constructed at even k",
-        k=k,
-    )
+        return report("expected-obstruction",
+                      detail=f"mode lattice confined to {exc.offset} + {exc.step}*Z;"
+                             f" the substitution series {would.render(3)} has no spectral realization")
+    return report("fail", first_mismatch="twisted grading mode unexpectedly constructed at even k")

@@ -29,7 +29,7 @@ from fractions import Fraction as Fr
 from functools import lru_cache, partial
 
 from .changeofvars import a_table
-from .exactnum import ScalarRing, get_ring
+from .exactnum import get_ring
 from .fermion import (
     Vec,
     VecSeries,
@@ -59,7 +59,6 @@ from .fseries import (
     delta_truncated,
     inverse_factorial,
     power_sum,
-    unit_pow,
 )
 
 __all__ = [
@@ -221,7 +220,7 @@ def twisted_floor(u: Vec, target: Vec) -> Fr:
     return Fr(0) if lo is None else lo
 
 
-def ybar(u: Vec, target: Vec, window: Window, *, var: str = "x") -> VecSeries:
+def ybar(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
     """The slot-1 twisted field Ybar(u, x) target = Y(D(x)u, x^{1/k}) target.
 
     Complete on the window: every coefficient with var-exponent inside the
@@ -426,31 +425,6 @@ def lg0_check(k: int, *, max_weight=3) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _root_diff_pow(ring: ScalarRing, e: int, z0_hi: int) -> FracSeries:
-    """((z+z0)^{1/k} - z^{1/k})^e, exact in z, truncated at z0-degree z0_hi.
-
-    Each z0-degree carries a single z-monomial, so the truncation in z0 is the
-    only one needed.  Negative e goes through the invertible leading term
-    (1/k) z^{1/k-1} z0.
-    """
-    k = ring.k
-    order = z0_hi - min(e, 0) + 1
-    root = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(1, k), order)
-    base = root - FracSeries.monomial(ring, 1, {"z": Fr(1, k)})
-    if e >= 0:
-        out = FracSeries.one(ring)
-        for _ in range(e):
-            out = (out * base).truncate("z0", z0_hi)
-        return out
-    lead_inv = FracSeries.monomial(ring, k, {"z": 1 - Fr(1, k), "z0": -1})
-    unit = base * lead_inv  # 1 + (positive z0-order tail)
-    powed = unit_pow(unit, Fr(e), "z0", z0_hi - e)
-    lead_pow = FracSeries.monomial(
-        ring, Fr(k) ** (-e), {"z": (Fr(1, k) - 1) * e, "z0": Fr(e)}
-    )
-    return (powed * lead_pow).truncate("z0", z0_hi)
-
-
 def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> CheckReport:
     """The dressing moves a plain vertex operator to the composed insertion:
 
@@ -460,8 +434,9 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> Che
     Both sides are exact in z at each z0-degree; compared through z0^z0_hi
     (the low side is the annihilation floor, so the comparison is complete).
     """
-    ring = u.ring
+    ring, k = u.ring, u.ring.k
     d_lo = min_exponent(u, v)
+    win = Window.of(z0=(d_lo, z0_hi))  # z unconstrained: exact per z0-degree
     # left: dress down, insert, dress up
     lhs = VecSeries(ring, ("z", "z0"))
     for ez, vJ in delta_apply(v, invert=True, var="z", a_override=a_override).by_exponent():
@@ -471,29 +446,26 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> Che
                 continue
             for ez2, out_vec in delta_apply(res, var="z", a_override=a_override).by_exponent():
                 lhs.add_term((ez + ez2, Fr(d)), out_vec)
-    # right: dress u at z+z0, insert at the root difference
-    rhs = VecSeries(ring, ("z", "z0"))
-    ypows: dict[int, FracSeries] = {}
-    for E, uJ in delta_apply(u, var="z", a_override=a_override).by_exponent():
-        e_lo = min_exponent(uJ, v)
-        # negative powers of the root difference reach down to z0^e, so the
-        # prefactor needs the matching extra depth before the product
-        pref = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), E, z0_hi - min(e_lo, 0))
-        for e in range(e_lo, z0_hi + 1):
-            coeff_vec = vertex_mode(uJ, -e - 1, v)
-            if coeff_vec.is_zero():
-                continue
-            if e not in ypows:
-                ypows[e] = _root_diff_pow(ring, e, z0_hi)
-            fs = (pref * ypows[e]).truncate("z0", z0_hi)
-            rhs = rhs + VecSeries(ring, ("z", "z0"), {(0, 0): coeff_vec}).mul_series(fs)
-    win = Window.of(z0=(d_lo, z0_hi))  # z unconstrained: exact per z0-degree
+    # right: sum_E (z+z0)^E Y(u_E, y) v, then y -> (z+z0)^{1/k} - z^{1/k}
+    buckets = list(delta_apply(u, var="z", a_override=a_override).by_exponent())
+    # negative powers of the root difference reach down to z0^e, so each
+    # prefactor needs the matching extra depth before the substitution
+    deep = z0_hi - min([0, *(min_exponent(uJ, v) for _E, uJ in buckets)])
+    insert = VecSeries(ring, ("y", "z", "z0"))
+    for E, uJ in buckets:
+        pref = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), E, deep)
+        # vertex_op starts at uJ's own floor, at or above d_lo
+        insert = insert + vertex_op(uJ, v, Window.of(y=(d_lo, z0_hi)), "y").mul_series(pref)
+    # the root has z0-order 1: its inverse, chained down to z0^{e_lo}, holds
+    # every term through z0_hi only when the root holds z0^(deep + 1)
+    root = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(1, k), deep + 1)
+    rhs = insert.substitute("y", root - FracSeries.monomial(ring, 1, {"z": Fr(1, k)}), "z0", z0_hi)
     return vec_equal_on_window(
         lhs, rhs, win, "twisted.conjugation",
         anchors=(
             "D(z) Y(u,z0) D(z)^-1 v == sum_E (z+z0)^E Y((D(z+z0)u)_E, (z+z0)^(1/k) - z^(1/k)) v",
         ),
-        k=ring.k,
+        k=k,
     )
 
 
@@ -516,11 +488,10 @@ def supercommutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, *,
     if box is None:
         box = Window.of(x1=(-2, 2), x2=(-2, 2))
     beta = Fr(0) if drop_factor else Fr(state_parity(u) * (1 - k), 2 * k)
-    field = lambda s, t, win, var: ybar(s, t, win, var=var)  # noqa: E731
     tag = "no dressing" if drop_factor else f"dressing exponent beta={beta}"
     return jacobi_check(
-        field, u, v, w, box, (twisted_floor(u, w), twisted_floor(v, w)),
-        [(lambda r0, r2: [iterate_modesum(field, u, v, w, r0, r2)], min_exponent(u, v),
+        ybar, u, v, w, box, (twisted_floor(u, w), twisted_floor(v, w)),
+        [(lambda r0, r2: [iterate_modesum(ybar, u, v, w, r0, r2)], min_exponent(u, v),
           {"step": Fr(1, k), "shift": beta, "scale": Fr(1, k)})],
         "twisted.supercommutator",
         ("[Ybar(u,x1),Ybar(v,x2)]w == (1/k) Res_x0 x2^-1 d((x1-x0)^(1/k)/x2^(1/k))"
@@ -536,28 +507,16 @@ def supercommutator_factor_witness(u: Vec, v: Vec, w: Vec, box: Window | None = 
     """
     k = w.ring.k
     beta = Fr(state_parity(u) * (1 - k), 2 * k)
+    report = partial(CheckReport, "twisted.supercommutator-factor-needed",
+                     ("dressed bracket passes AND undressed bracket fails",),
+                     (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), k=k)
     if (k * beta).denominator == 1:
-        return CheckReport(
-            "twisted.supercommutator-factor-needed", ("dressed bracket passes AND undressed bracket fails",),
-            (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), "fail",
-            detail=f"beta={beta} is on the (1/{k})Z lattice: nothing to witness",
-            k=k,
-        )
+        return report("fail", detail=f"beta={beta} is on the (1/{k})Z lattice: nothing to witness")
     dressed = supercommutator_check(u, v, w, box)
     undressed = supercommutator_check(u, v, w, box, drop_factor=True)
-    ok = dressed.status == "pass" and undressed.status == "fail"
-    return CheckReport(
-        "twisted.supercommutator-factor-needed",
-        ("dressed bracket passes AND undressed bracket fails",),
-        dressed.window,
-        "pass" if ok else "fail",
-        detail=(
-            f"undressed mismatch witness: {undressed.first_mismatch}"
-            if ok
-            else f"dressed: {dressed.status}, undressed: {undressed.status}"
-        ),
-        k=k,
-    )
+    if dressed.status == "pass" and undressed.status == "fail":
+        return report("pass", detail=f"undressed mismatch witness: {undressed.first_mismatch}")
+    return report("fail", detail=f"dressed: {dressed.status}, undressed: {undressed.status}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +682,7 @@ def twisted_jacobi_eigen_check(u: Vec, r: int, v: Vec, s2: int, w: Vec,
 # ---------------------------------------------------------------------------
 
 
-def untwist(u: Vec, w: Vec, window: Window, *, var: str = "x") -> VecSeries:
+def untwist(u: Vec, w: Vec, window: Window, var: str = "x") -> VecSeries:
     """The rebuilt plain field Y_M(u, x) w = Yg((D(x^k)^{-1} u)^1, x^k) w.
 
     Principal branch (x^k)^{1/k} = x throughout.  The exponents are integral
@@ -739,13 +698,11 @@ def untwist(u: Vec, w: Vec, window: Window, *, var: str = "x") -> VecSeries:
     out = VecSeries(ring, (var,))
     for E, uJ in delta_apply(u, invert=True).by_exponent():
         sub = Window.of(**{var: (Fr(lo, k) - E, Fr(hi, k) - E)})
-        for e, vec in ybar(uJ, w, sub, var=var).by_exponent():
-            exp = k * (e + E)
-            if exp.denominator != 1:
-                raise CompositionDomainError(
-                    f"rebuilt field exponent {exp} not integral (k={k})"
-                )
-            out.add_term((exp,), vec)
+        out = out + ybar(uJ, w, sub, var).shift_exponents(var, E)
+    out = out.scale_exponents(var, k)
+    bad = [e for e in out.exponents_of(var) if e.denominator != 1]
+    if bad:
+        raise CompositionDomainError(f"rebuilt field exponent {min(bad)} not integral (k={k})")
     return out
 
 
@@ -773,10 +730,9 @@ def untwist_commutator_check(u: Vec, v: Vec, w: Vec, box: Window | None = None, 
     if box is None:
         box = Window.of(x1=(-2, 2), x2=(-2, 2))
     c = Fr(0) if offset is None else Fr(offset)
-    field = lambda s, t, win, var: untwist(s, t, win, var=var)  # noqa: E731
     return jacobi_check(
-        field, u, v, w, box, (_untwist_floor(u, w), _untwist_floor(v, w)),
-        [(lambda r0, r2: [iterate_modesum(field, u, v, w, r0, r2)], min_exponent(u, v), {"shift": c})],
+        untwist, u, v, w, box, (_untwist_floor(u, w), _untwist_floor(v, w)),
+        [(lambda r0, r2: [iterate_modesum(untwist, u, v, w, r0, r2)], min_exponent(u, v), {"shift": c})],
         "untwist.supercommutator",
         ("[Y_M(u,x1),Y_M(v,x2)]w == Res_x0 x2^-1 d((x1-x0)/x2)"
          f" ((x1-x0)/x2)^({c}) Y_M(Y(u,x0)v,x2)w",),
@@ -798,30 +754,18 @@ def untwist_evenbranch_witness(u: Vec, v: Vec, w: Vec, box: Window | None = None
     k = w.ring.k
     par = state_parity(u)
     gamma = Fr(par * (1 - k), 2)
+    report = partial(CheckReport, "untwist.even-branch-witness",
+                     ("integer-offset bracket holds AND half-integer-offset bracket fails",),
+                     (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), k=k)
     if gamma.denominator == 1:
-        return CheckReport(
-            "untwist.even-branch-witness", ("integer-offset bracket holds AND half-integer-offset bracket fails",),
-            (box or Window.of(x1=(-2, 2), x2=(-2, 2))).render(), "fail",
-            detail=f"branch exponent {gamma} is integral (k={k}, |u|={par}): nothing to witness",
-            k=k,
-        )
+        return report("fail", detail=f"branch exponent {gamma} is integral (k={k}, |u|={par}): nothing to witness")
     plain = untwist_commutator_check(u, v, w, box)
     shifted = untwist_commutator_check(u, v, w, box, offset=Fr(-par))
     branch = untwist_commutator_check(u, v, w, box, offset=Fr(par, 2))
-    ok = plain.status == "pass" and shifted.status == "pass" and branch.status == "fail"
-    return CheckReport(
-        "untwist.even-branch-witness",
-        ("integer-offset bracket holds AND half-integer-offset bracket fails",),
-        plain.window,
-        "pass" if ok else "fail",
-        detail=(
-            f"half-integer-dressed mismatch witness: {branch.first_mismatch}"
-            if ok
-            else f"offset 0: {plain.status}, offset {-par}: {shifted.status}, "
-                 f"offset {Fr(par, 2)}: {branch.status}"
-        ),
-        k=k,
-    )
+    if plain.status == "pass" and shifted.status == "pass" and branch.status == "fail":
+        return report("pass", detail=f"half-integer-dressed mismatch witness: {branch.first_mismatch}")
+    return report("fail", detail=f"offset 0: {plain.status}, offset {-par}: {shifted.status}, "
+                                 f"offset {Fr(par, 2)}: {branch.status}")
 
 
 def roundtrip_untwist_check(u: Vec, w: Vec, *, hi=3) -> CheckReport:
@@ -883,32 +827,18 @@ def obstruction_report(k: int, u: Vec | None = None) -> CheckReport:
     par = state_parity(u)
     w = vac_vec(ring)
     flo = twisted_floor(u, w)
-    ser = ybar(u, w, Window.of(x=(flo, flo + 2)))
-    cosets = {e % Fr(1, k) for e in ser.exponents_of("x")}
-    expected = (Fr(par, 2 * k) % Fr(1, k)) if k % 2 == 0 else Fr(0)
     win = Window.of(x=(flo, flo + 2))
-    anchors = ("field exponent coset modulo 1/k determines the mode lattice",)
+    cosets = {e % Fr(1, k) for e in ybar(u, w, win).exponents_of("x")}
+    expected = (Fr(par, 2 * k) % Fr(1, k)) if k % 2 == 0 else Fr(0)
+    report = partial(CheckReport, "twisted.even-order-obstruction",
+                     ("field exponent coset modulo 1/k determines the mode lattice",), win.render(), k=k)
     if cosets - {expected}:
-        return CheckReport(
-            "twisted.even-order-obstruction", anchors, win.render(), "fail",
-            first_mismatch=f"unexpected exponent cosets {sorted(cosets)} (wanted {expected})",
-            k=k,
-        )
+        return report("fail", first_mismatch=f"unexpected exponent cosets {sorted(cosets)} (wanted {expected})")
     if k % 2 == 0 and par % 2 == 1:
-        return CheckReport(
-            "twisted.even-order-obstruction", anchors, win.render(),
-            "expected-obstruction",
-            detail=(
-                f"modes confined to {Fr(par, 2 * k)} + (1/{k})Z, disjoint from (1/{k})Z;"
-                " no 1/k-graded module structure"
-            ),
-            k=k,
-        )
-    return CheckReport(
-        "twisted.even-order-obstruction", anchors, win.render(), "pass",
-        detail=f"exponents on the (1/{k})Z lattice (parity {par}); no lattice obstruction",
-        k=k,
-    )
+        return report("expected-obstruction",
+                      detail=f"modes confined to {Fr(par, 2 * k)} + (1/{k})Z, disjoint from (1/{k})Z;"
+                             " no 1/k-graded module structure")
+    return report("pass", detail=f"exponents on the (1/{k})Z lattice (parity {par}); no lattice obstruction")
 
 
 def invariant_subspace_scan(k: int, max_weight=Fr(5, 2)) -> CheckReport:

@@ -2,8 +2,9 @@
 permutation action and its eigenprojections, per-key Scalar arithmetic on
 module vectors, the vertex-mode recursion with only the vacuum as its base
 case, the bracket of two fields assembled by hand, the cross-slot iterate
-as a residue sum over explicit indices, and the substitution of a monomial
-for a variable, term by term.
+as a residue sum over explicit indices, the substitution of a monomial
+for a variable, term by term, and the right side of the conjugation
+formula from hand-built powers of the root difference.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -28,9 +29,10 @@ from permtwist.fermion import (
     min_exponent,
     two_sided,
     vec_equal_on_window,
+    vertex_mode,
 )
-from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window
-from permtwist.twistor import _parts_field, twisted_floor
+from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window, binom_expand, unit_pow
+from permtwist.twistor import _parts_field, delta_apply, twisted_floor
 
 # ---------------------------------------------------------------------------
 # Clifford action
@@ -340,3 +342,47 @@ def substitute_monomial(s: FracSeries, var: str, coeff: Fr, exps: dict) -> FracS
         out.add_at(tuple((0 if j is None else old_rest[j] * m) + d * t for j, t in zip(idx, spread)),
                    scaled)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the conjugation formula's right side, one (bucket, power) pair at a time
+# ---------------------------------------------------------------------------
+
+
+def root_diff_pow(ring, e: int, z0_hi: int) -> FracSeries:
+    """((z+z0)^{1/k} - z^{1/k})^e, exact in z, truncated at z0-degree z0_hi.
+
+    Each z0-degree carries a single z-monomial, so the truncation in z0 is the
+    only one needed.  Negative e goes through the invertible leading term
+    (1/k) z^{1/k-1} z0.
+    """
+    k = ring.k
+    order = z0_hi - min(e, 0) + 1
+    root = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(1, k), order)
+    base = root - FracSeries.monomial(ring, 1, {"z": Fr(1, k)})
+    if e >= 0:
+        out = FracSeries.one(ring)
+        for _ in range(e):
+            out = (out * base).truncate("z0", z0_hi)
+        return out
+    lead_inv = FracSeries.monomial(ring, k, {"z": 1 - Fr(1, k), "z0": -1})
+    unit = base * lead_inv  # 1 + (positive z0-order tail)
+    powed = unit_pow(unit, Fr(e), "z0", z0_hi - e)
+    lead_pow = FracSeries.monomial(ring, Fr(k) ** (-e), {"z": (Fr(1, k) - 1) * e, "z0": Fr(e)})
+    return (powed * lead_pow).truncate("z0", z0_hi)
+
+
+def conjugation_rhs_by_powers(u: Vec, v: Vec, z0_hi: int, a_override=None) -> VecSeries:
+    """sum_E (z+z0)^E Y(u_E, (z+z0)^{1/k} - z^{1/k}) v through z0^z0_hi: each
+    mode (u_E)_{-e-1} v times its prefactor and its root-difference power."""
+    ring = u.ring
+    rhs = VecSeries(ring, ("z", "z0"))
+    for E, uJ in delta_apply(u, var="z", a_override=a_override).by_exponent():
+        e_lo = min_exponent(uJ, v)
+        pref = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), E, z0_hi - min(e_lo, 0))
+        for e in range(e_lo, z0_hi + 1):
+            vec = vertex_mode(uJ, -e - 1, v)
+            if not vec.is_zero():
+                fs = (pref * root_diff_pow(ring, e, z0_hi)).truncate("z0", z0_hi)
+                rhs = rhs + VecSeries(ring, ("z", "z0"), {(0, 0): vec}).mul_series(fs)
+    return rhs

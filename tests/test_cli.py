@@ -131,6 +131,33 @@ def test_theta_rejects_k1(capsys):
     assert cli.main(["theta", "--k", "1"]) == 2
 
 
+def test_theta_checks_every_k_before_running_any(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "theta_verify", lambda k, order: ran.append(k) or [])
+    assert cli.main(["theta", "--k", "2", "1"]) == 2
+    assert ran == []
+    assert "theta checks need k >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "grading", "--k", "3"],
+    ["coeffs", "--k", "3"],
+    ["char", "--k", "3", "--cutoff", "0"],
+    ["theta", "--k", "3", "--order", "2"],
+])
+def test_a_repeated_k_runs_once(capsys, argv):
+    assert cli.main(argv) == 0
+    once = capsys.readouterr().out
+    i = argv.index("--k") + 2
+    assert cli.main(argv[:i] + ["3"] + argv[i:]) == 0
+    assert capsys.readouterr().out == once
+
+
+def test_repeated_k_values_keep_first_seen_order(capsys):
+    assert cli.main(["coeffs", "--k", "5", "3", "5", "--order", "2"]) == 0
+    assert [row["k"] for row in _lines(capsys)] == [5, 3]
+
+
 def test_theta_passes(capsys):
     rc = cli.main(["theta", "--k", "3", "--order", "3"])
     assert rc == 0

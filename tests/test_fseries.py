@@ -209,6 +209,28 @@ def test_substitute_chains_powers_like_the_per_power_loop():
     assert got == want.truncate("x", order)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_substitute_keeps_vector_series_and_is_linear(k):
+    # a VecSeries substitutes like a scalar series: per basis key, the result
+    # is the scalar substitute of that key's coefficient series
+    ring = get_ring(k)
+    keys = ((), (-1,), (-2, -1))
+    per_key = {key: FracSeries.zero(ring) for key in keys}
+    vs = VecSeries(ring, ("y", "z"))
+    for e in range(-2, 3):
+        for j, key in enumerate(keys):
+            c = ring.rational(Fr(e + 3 * j + 1, j + 2)) + ring.eta(e + j) * ring.sqrt_k()
+            per_key[key] = per_key[key] + mono(ring, c, {"y": e, "z": Fr(j, k)})
+            vs.add_term((Fr(e), Fr(j, k)), Vec.basis(ring, key, c))
+    root = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), Fr(1, k), 8) - mono(ring, 1, {"z": Fr(1, k)})
+    got = vs.substitute("y", root, "z0", 4)
+    assert type(got) is VecSeries
+    assert min(got.exponents_of("z0")) == -2
+    for key, scalar in per_key.items():
+        column = {m: vec.terms[key] for m, vec in got.terms.items() if key in vec.terms}
+        assert FracSeries._of(ring, got.vars, column, got.den) == scalar.substitute("y", root, "z0", 4), key
+
+
 def test_substitute_rejects_fractional_powers():
     s = mono(R1, 1, {"y": Fr(1, 2)})
     with pytest.raises(CompositionDomainError):

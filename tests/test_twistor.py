@@ -4,6 +4,7 @@ even-order obstruction."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,7 @@ from permtwist.fermion import (
     vertex_op,
     virasoro_mode,
 )
-from permtwist.fseries import CheckReport, FracSeries, Window, delta_truncated, gbinom
+from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window, delta_truncated, gbinom
 from permtwist import fermion, twistor
 from permtwist.twistor import (
     ObstructionError,
@@ -59,7 +60,7 @@ from permtwist.twistor import (
     ybar,
 )
 
-from oracles import bracket_reference, iterate_residue_reference
+from oracles import bracket_reference, conjugation_rhs_by_powers, iterate_residue_reference
 
 R1 = get_ring(1)
 R2 = get_ring(2)
@@ -346,6 +347,24 @@ def test_conjugation_negative_control():
     assert rep.first_mismatch is not None
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("z0_hi", [3, 5])
+def test_conjugation_right_side_matches_hand_built_powers(monkeypatch, k, z0_hi):
+    # the one substitute at the root difference against every (bucket, power)
+    # pair built by hand, with the true and a perturbed flow, and for u = 0
+    ring = get_ring(k)
+    seen = []
+    compare = twistor.vec_equal_on_window
+    monkeypatch.setattr(twistor, "vec_equal_on_window",
+                        lambda lhs, rhs, *args, **kw: seen.append(rhs) or compare(lhs, rhs, *args, **kw))
+    for u in (psi_vec(ring), omega_vec(ring), Vec(ring)):
+        for key in standard_basis(F(3, 2)):
+            v = Vec.basis(ring, key)
+            for over in (None, BAD_A_OFF_LATTICE):
+                conjugation_check(u, v, z0_hi=z0_hi, a_override=over)
+                assert seen.pop() == conjugation_rhs_by_powers(u, v, z0_hi, over), (u.render(), key, over)
+
+
 # ---------------------------------------------------------------------------
 # the twisted bracket
 # ---------------------------------------------------------------------------
@@ -414,14 +433,13 @@ def test_supercommutator_matches_hand_built_bracket(k):
     # both product rectangles of the box, minus the iterate side at x0 = -1
     ring = get_ring(k)
     box = Window.of(x1=(-2, 2), x2=(-2, 2))
-    field = lambda s, t, win, var: ybar(s, t, win, var=var)  # noqa: E731
     cases = [(u, v, w, False) for u, v, w in _bracket_cases(ring)]
     if k == 2:
         cases += [(psi_vec(ring), psi_vec(ring), vac_vec(ring), True)]
     for u, v, w, drop in cases:
         rep = supercommutator_check(u, v, w, drop_factor=drop)
         beta = F(0) if drop else F(u.parity() * (1 - k), 2 * k)
-        ref = bracket_reference(field, u, v, w, box, offset=beta, den=k, rhs_scale=F(1, k),
+        ref = bracket_reference(ybar, u, v, w, box, offset=beta, den=k, rhs_scale=F(1, k),
                                 identity="twisted.supercommutator", anchors=rep.anchors)
         assert rep.to_json() == ref.to_json(), (u.render(), v.render(), w.render(), drop)
 
@@ -431,10 +449,9 @@ def test_supercommutator_matches_hand_built_bracket(k):
 def test_untwist_commutator_matches_hand_built_bracket(k, offset):
     ring = get_ring(k)
     box = Window.of(x1=(-2, 2), x2=(-2, 2))
-    field = lambda s, t, win, var: untwist(s, t, win, var=var)  # noqa: E731
     for u, v, w in _bracket_cases(ring):
         rep = untwist_commutator_check(u, v, w, offset=offset)
-        ref = bracket_reference(field, u, v, w, box, offset=offset, den=1, rhs_scale=F(1),
+        ref = bracket_reference(untwist, u, v, w, box, offset=offset, den=1, rhs_scale=F(1),
                                 identity="untwist.supercommutator", anchors=rep.anchors)
         assert rep.to_json() == ref.to_json(), (u.render(), v.render(), w.render())
 
@@ -692,6 +709,25 @@ def test_untwist_exponents_are_integral_even_k():
     # the half-integral dressing offset and the field coset cancel at k=2
     ser = untwist(psi_vec(R2), Vec.basis(R2, (-1,)), Window.of(x=(-2, 2)))
     assert all(e.denominator == 1 for e in ser.exponents_of("x"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_untwist_names_the_lowest_off_lattice_exponent(monkeypatch, k):
+    # inverse-dressing buckets moved 1/2k off the lattice move every rebuilt
+    # exponent by 1/2; the window keeps the rebuilt exponents from lo to hi - 1
+    ring = get_ring(k)
+    u, w = psi_vec(ring), Vec.basis(ring, (-1,))
+    lowest = min(untwist(u, w, Window.of(x=(-3, 2))).exponents_of("x")) + F(1, 2)
+    dress = twistor.delta_apply
+
+    def off_lattice(v, *, invert=False, **kw):
+        out = dress(v, invert=invert, **kw)
+        return out.shift_exponents(kw.get("var", "x"), F(1, 2 * k)) if invert else out
+
+    monkeypatch.setattr(twistor, "delta_apply", off_lattice)
+    message = f"rebuilt field exponent {lowest} not integral (k={k})"
+    with pytest.raises(CompositionDomainError, match=re.escape(message)):
+        untwist(u, w, Window.of(x=(-3, 3)))
 
 
 def test_retwist_mode_identity_k3():

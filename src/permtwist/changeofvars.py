@@ -110,13 +110,12 @@ def _maybe_scalar(s: FracSeries):
     return s
 
 
-def _apply_flow(coeffs: dict, var: str, s: FracSeries, sign: int) -> FracSeries:
-    """(sign * sum_j coeffs[j] var^{j+1} d/dvar) applied to s."""
+def _apply_flow(coeffs: dict, var: str, s: FracSeries, sign: int, box: Window) -> FracSeries:
+    """(sign * sum_j coeffs[j] var^{j+1} d/dvar) s in the box, for series coeffs."""
     ds = s.derivative(var)
     out = FracSeries.zero(s.ring, s.vars)
     for j, c in coeffs.items():
-        t = ds.shift_exponents(var, j + 1) * c
-        out = out + t
+        out = out + ds.shift_exponents(var, j + 1).mul(c, box)
     return out * Fr(sign)
 
 
@@ -127,16 +126,14 @@ def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trun
     least one, so the sum provably terminates); `trunc` optionally bounds a
     second variable when the coefficients are themselves series.
     """
-    cmap = {j + 1: c for j, c in enumerate(coeffs)}
+    one = FracSeries.one(ring)
+    cmap = {j + 1: one * c for j, c in enumerate(coeffs)}  # a Scalar or a series, as a series
     seed = FracSeries.monomial(ring, 1, {var: 1})
     if a0 is not None:
         seed = seed * a0
-
-    def step(acc: FracSeries) -> FracSeries:
-        acc = _apply_flow(cmap, var, acc, sign).truncate(var, order)
-        return acc if trunc is None else acc.truncate(trunc[0], trunc[1])
-
-    return power_sum(seed, step, inverse_factorial, int(Fraction(order)) + 2)
+    cut = Window.of(**{var: (None, order)}, **({trunc[0]: (None, trunc[1])} if trunc else {}))
+    return power_sum(seed, lambda acc: _apply_flow(cmap, var, acc, sign, cut), inverse_factorial,
+                     int(Fraction(order)) + 2)
 
 
 def solve_exp_coeffs(f: FracSeries, var: str, order: int, sign: int, *, trunc=None) -> ExpCoeffs:
@@ -162,9 +159,8 @@ def solve_exp_coeffs(f: FracSeries, var: str, order: int, sign: int, *, trunc=No
     known: list = []
     for m in range(1, order + 1):
         built = exp_flow(f.ring, known, var, m + 1, sign, a0=a0, trunc=trunc)
-        resid = (f.coefficient_in(var, m + 1) - built.coefficient_in(var, m + 1)) * a0_inv
-        if trunc is not None:
-            resid = resid.truncate(trunc[0], trunc[1])
+        resid = (f.coefficient_in(var, m + 1) - built.coefficient_in(var, m + 1)).mul(
+            a0_inv, None if trunc is None else Window.below(*trunc))
         known.append(resid * Fr(sign))
     if trunc is None:
         a0, known = _maybe_scalar(a0), [_maybe_scalar(c) for c in known]
@@ -413,12 +409,13 @@ def rep_walk(ring: ScalarRing, k: int, lo: int, hi: int, trunc_order, forward: b
         # x^lo pair with high-degree dressing terms inside the trusted window
         dress = binom_expand(ring, (1, dress_lead), (1, {"x": 1}), dress_exp, int(deep) + 1) * scale
     img = FracSeries.monomial(ring, 1, {"y": lo}).substitute("y", base, "x", trunc_order)
+    cut = Window.below("x", trunc_order)
     for n in range(lo, hi + 1):
         if n > lo:
             # base has x-order 1, so a term x^e (e > trunc_order) missing from
             # the image of x^(n-1) only reaches exponents above trunc_order + 1
-            img = (img * base).truncate("x", trunc_order)
-        yield tuple((img * dress).truncate("x", trunc_order) if odd else img for odd in parities)
+            img = img.mul(base, cut)
+        yield tuple(img.mul(dress, cut) if odd else img for odd in parities)
 
 
 def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[CheckReport]:
@@ -534,7 +531,7 @@ def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:
             anchors=("exp(sum a_j z^(-j/k) L_j) k-dilation phi == phi k^(1/2) (z^(1/k)+x)^((k-1)/2)",), k=k,
         ),
     ]
-    sq = (odd * odd).truncate("x", trunc_order)
+    sq = odd.mul(odd, Window.below("x", trunc_order))
     deriv = rep_apply(ring, k, 1, False, int(trunc_order) + 1).derivative("x").truncate("x", trunc_order)
     reports.append(
         assert_equal_on_window(

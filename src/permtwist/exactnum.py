@@ -325,10 +325,10 @@ class Scalar:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:  # as in _add: no ABC hook for a Scalar
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return self.ring.k == other.ring.k and self.num == other.num and self.den == other.den
 
     def __hash__(self):

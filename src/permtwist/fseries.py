@@ -18,6 +18,9 @@ The series kernel underneath every identity check in this package:
   subsequent arithmetic is exact on the finite objects, and every identity
   check compares coefficients only inside a window that the caller derived
   from those truncation orders;
+* there is one series product, `FracSeries.mul(other, box)`: it forms only
+  the term pairs inside the box (a `Window`, whose sides may be open), and
+  the class supplies the coefficient multiply-accumulate, `sum_of_products`;
 * every exponential, logarithm, binomial power, series inverse and flow
   exponential is one truncated power sum, `power_sum`.
 
@@ -28,10 +31,13 @@ written variable, with generalized binomial coefficients for fractional r.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import ceil, factorial, floor, lcm
+from functools import lru_cache, reduce
+from itertools import starmap
+from math import ceil, factorial, floor, inf, lcm
 from operator import add, attrgetter, mul
 
 from .exactnum import Scalar, ScalarRing
@@ -62,6 +68,13 @@ def _numerators(exps, den: int) -> Key | None:
             return None
         key.append(n)
     return tuple(key)
+
+
+def _inside(items, box) -> dict:
+    """The (key, value) items with key in box, a `Window.limits` list."""
+    if box is None:
+        return {}
+    return {key: c for key, c in items if all(lo <= key[i] <= hi for i, lo, hi in box)}
 
 
 @lru_cache(maxsize=4096)
@@ -222,19 +235,53 @@ class FracSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
-        # over one common den, exponents add as their integer numerators
-        allvars, den, a, b = self._aligned(other)
-        cols = list(b.items())
-        acc: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in cols:
-                key = tuple(map(add, e1, e2))
-                cur = acc.get(key)
-                acc[key] = c1 * c2 if cur is None else cur + c1 * c2
-        out = {key: c for key, c in acc.items() if not c.is_zero()}
-        return self._of(self.ring, allvars, out, den)
+        return self.mul(other)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: list):
+        """The multiply-accumulate of `mul`: sum c * s over the (c, s) pairs
+        that land on one key."""
+        return reduce(add, starmap(mul, pairs))
+
+    def mul(self, other: "FracSeries", box: Window | None = None) -> "FracSeries":
+        """The product by a scalar series; with a box, its terms inside the
+        box, each still the sum of every pair that lands on it, and only
+        those pairs are formed.  self's terms are grouped by their exponent
+        in the box's narrowest bounded variable; a monomial of coefficient
+        one on either side only moves keys, sharing the other's entries."""
+        # over one common den, exponents add as their integer numerators
+        allvars, den, a, b = self._aligned(other)
+        limits = [] if box is None else box.limits(allvars, den)
+        for unit, moved, owner in ((b, a, self), (a, b, other)):
+            if len(unit) == 1 and next(iter(unit.values())) == self.ring.one:
+                (shift,) = unit
+                terms = _inside(((tuple(map(add, key, shift)), c) for key, c in moved.items()), limits)
+                return owner._of(self.ring, allvars, terms, den)
+        acc = defaultdict(list)
+        if limits == []:
+            for skey, s in b.items():
+                for key, c in a.items():
+                    acc[tuple(map(add, key, skey))].append((c, s))
+        elif limits:  # None, the empty box, forms no pair
+            ix, glo, ghi = min(limits, key=lambda lim: lim[2] - lim[1])
+            groups = defaultdict(list)
+            for key, c in a.items():
+                groups[key[ix]].append((key, c))
+            cols = sorted(groups)
+            for skey, s in b.items():
+                # the box shifted by this term of other: bounds on self's key
+                bounds = [(i, lo - skey[i], hi - skey[i]) for i, lo, hi in limits if i != ix]
+                for col in cols[bisect_left(cols, glo - skey[ix]):bisect_right(cols, ghi - skey[ix])]:
+                    for key, c in groups[col]:
+                        for i, lo, hi in bounds:
+                            if not lo <= key[i] <= hi:
+                                break
+                        else:
+                            acc[tuple(map(add, key, skey))].append((c, s))
+        terms = zip(acc, map(self.sum_of_products, acc.values()))
+        return self._of(self.ring, allvars, {key: c for key, c in terms if not c.is_zero()}, den)
 
     def scale(self, c) -> "FracSeries":
         if isinstance(c, (int, Fraction)):
@@ -336,12 +383,12 @@ class FracSeries:
 
     def truncate(self, var: str, max_exp) -> "FracSeries":
         """Drop terms with var-exponent above max_exp."""
-        if var not in self.vars:
-            return self
-        i = self.vars.index(var)
-        top = floor(Fraction(max_exp) * self.den)
-        out = {key: c for key, c in self.terms.items() if key[i] <= top}
-        return self._of(self.ring, self.vars, out, self.den)
+        return self.truncate_window(Window.below(var, max_exp))
+
+    def truncate_window(self, window: "Window") -> "FracSeries":
+        """The terms inside the window's box."""
+        terms = _inside(self.terms.items(), window.limits(self.vars, self.den))
+        return self._of(self.ring, self.vars, terms, self.den)
 
     def substitute(self, var: str, repl: "FracSeries", trunc_var: str, trunc_order) -> "FracSeries":
         """Substitute a whole series for var.  Only integer powers of var are
@@ -350,7 +397,7 @@ class FracSeries:
         unique invertible leading monomial in trunc_var.
 
         Each power is the nearest power already built times repl (or its
-        inverse), truncated.  Positive powers are truncated at trunc_order,
+        inverse), a boxed product.  Positive powers are cut at trunc_order,
         which is sound when repl has strictly positive trunc_var-order d.  The
         inverse has order -d, so it is built, and the negative powers are
         chained, through trunc_order + |e| d for the most negative power e:
@@ -373,8 +420,9 @@ class FracSeries:
                 )
             groups.setdefault(e, {})[key[:i] + key[i + 1 :]] = c
         powers = {0: FracSeries.one(self.ring)}
-        # step -> (repl or its inverse, the depth its powers are chained at)
-        base = {1: (repl, trunc_order)}
+        cut = Window.below(trunc_var, trunc_order)
+        # step -> (repl or its inverse, the box its powers are chained in)
+        base = {1: (repl, cut)}
         out = self._of(self.ring, (), {}, 1)
         for e, terms in sorted(groups.items()):
             if e not in powers:
@@ -382,15 +430,15 @@ class FracSeries:
                 if step not in base:
                     d = min(repl.exponents_of(trunc_var), default=0)
                     deep = Fraction(trunc_order) - min(groups) * max(d, 0)
-                    base[step] = (invert_series(repl, trunc_var, deep), deep)
+                    base[step] = (invert_series(repl, trunc_var, deep), Window.below(trunc_var, deep))
                 factor, depth = base[step]
                 near = e - step
                 while near not in powers:
                     near -= step
                 for m in range(near + step, e + step, step):
-                    powers[m] = (powers[m - step] * factor).truncate(trunc_var, depth)
-            out = out + self._of(self.ring, rest, terms, self.den) * powers[e]
-        return out.truncate(trunc_var, trunc_order)
+                    powers[m] = powers[m - step].mul(factor, depth)
+            out = out + self._of(self.ring, rest, terms, self.den).mul(powers[e], cut)
+        return out
 
     # -- rendering ----------------------------------------------------------------
 
@@ -450,8 +498,8 @@ def _tail_power_sum(r: FracSeries, coeff, trunc_var: str, trunc_order, name: str
         if emin <= 0:
             raise CompositionDomainError(f"{name} needs a tail of positive {trunc_var}-order")
         limit = int(Fraction(trunc_order) / emin) + 1
-    return power_sum(FracSeries.one(r.ring), lambda acc: (acc * r).truncate(trunc_var, trunc_order),
-                     coeff, limit)
+    cut = Window.below(trunc_var, trunc_order)
+    return power_sum(FracSeries.one(r.ring), lambda acc: acc.mul(r, cut), coeff, limit)
 
 
 def invert_series(s: FracSeries, trunc_var: str, trunc_order) -> FracSeries:
@@ -589,29 +637,41 @@ def _binomial_sum(ring, lead, tail, den, shift, step, n_range, tail_order, phase
 
 @dataclass(frozen=True)
 class Window:
-    """Closed per-variable exponent boxes; variables not listed are unconstrained."""
+    """Closed per-variable exponent boxes; variables not listed are unconstrained
+    and a side given as None is open.  A series that lacks a variable has it at 0."""
 
-    bounds: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+    bounds: tuple[tuple[str, tuple[Fraction | None, Fraction | None]], ...]
 
     @staticmethod
     def of(**bounds) -> "Window":
-        norm = tuple(
-            sorted((v, (Fraction(lo), Fraction(hi))) for v, (lo, hi) in bounds.items())
-        )
+        norm = tuple(sorted(
+            (v, tuple(None if e is None else Fraction(e) for e in lohi)) for v, lohi in bounds.items()
+        ))
         for v, (lo, hi) in norm:
-            if lo > hi:
+            if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"window for {v} has lo > hi")
         return Window(norm)
+
+    @staticmethod
+    def below(var: str, hi) -> "Window":
+        """The one-sided box var <= hi: a truncation."""
+        return Window(((var, (None, Fraction(hi))),))
 
     def as_dict(self):
         return dict(self.bounds)
 
-    def limits(self, vars: tuple[str, ...], den: int) -> list[tuple[int, int, int]]:
+    def limits(self, vars: tuple[str, ...], den: int) -> list[tuple[int, int, int]] | None:
         """(index into vars, ceil(lo*den), floor(hi*den)) of every bounded
-        variable: the box on keys of integer exponent numerators over den."""
-        b = self.as_dict()
-        return [(i, ceil(b[v][0] * den), floor(b[v][1] * den))
-                for i, v in enumerate(vars) if v in b]
+        variable of vars, an open side as -inf or inf: the box on keys of
+        integer exponent numerators over den.  None when the box holds no
+        key: a bound that excludes 0 on a variable not in vars."""
+        out = []
+        for v, (lo, hi) in self.bounds:
+            if v in vars:
+                out.append((vars.index(v), -inf if lo is None else ceil(lo * den), inf if hi is None else floor(hi * den)))
+            elif not (lo or 0) <= 0 <= (hi or 0):  # an open side admits 0
+                return None
+        return out
 
     def render(self) -> str:
         return ",".join(f"{v}:[{lo},{hi}]" for v, (lo, hi) in self.bounds)
@@ -684,8 +744,7 @@ def compare_on_window(a: FracSeries, b: FracSeries, window: Window, identity: st
     mismatch(monomial text, coefficient of a, coefficient of b)."""
     allvars, den, ta, tb = a._aligned(b)
     box = window.limits(allvars, den)
-    keys = {key for key in ta if all(lo <= key[i] <= hi for i, lo, hi in box)}
-    keys.update(key for key in tb if all(lo <= key[i] <= hi for i, lo, hi in box))
+    keys = _inside(ta.items(), box).keys() | _inside(tb.items(), box).keys()
     zero = a.zero_coefficient(a.ring)
     for key in sorted(keys):
         ca = ta.get(key, zero)

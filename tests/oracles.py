@@ -3,8 +3,9 @@ permutation action and its eigenprojections, per-key Scalar arithmetic on
 module vectors, the vertex-mode recursion with only the vacuum as its base
 case, the bracket of two fields assembled by hand, the cross-slot iterate
 as a residue sum over explicit indices, the substitution of a monomial
-for a variable, term by term, and the right side of the conjugation
-formula from hand-built powers of the root difference.
+for a variable, term by term, the right side of the conjugation formula
+from hand-built powers of the root difference, and the series product from
+every term pair and by a grouped vector pairing of its own.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -14,7 +15,9 @@ slot dicts, so the two can be compared on random vectors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as Fr
+from operator import add
 
 from permtwist.fermion import (
     Vec,
@@ -386,3 +389,71 @@ def conjugation_rhs_by_powers(u: Vec, v: Vec, z0_hi: int, a_override=None) -> Ve
                 fs = (pref * root_diff_pow(ring, e, z0_hi)).truncate("z0", z0_hi)
                 rhs = rhs + VecSeries(ring, ("z", "z0"), {(0, 0): vec}).mul_series(fs)
     return rhs
+
+
+# ---------------------------------------------------------------------------
+# series products, independent of FracSeries.mul
+# ---------------------------------------------------------------------------
+
+
+def product_all_pairs(a: FracSeries, b: FracSeries) -> FracSeries:
+    """a * b from every term pair, in a's class: a vector series times a
+    scalar one goes through `Vec.__mul__`."""
+    allvars, den, ta, tb = a._aligned(b)
+    acc: dict = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            key = tuple(map(add, e1, e2))
+            acc[key] = c1 * c2 if key not in acc else acc[key] + c1 * c2
+    return a._of(a.ring, allvars, _dropping_zeros(acc), den)
+
+
+def cut_by_window(s: FracSeries, window: Window) -> FracSeries:
+    """The terms of s inside the window, read one Fraction exponent at a
+    time: a variable s does not carry has exponent 0, and None leaves a side
+    open."""
+    def inside(key):
+        exps = dict(zip(s.vars, (Fr(n, s.den) for n in key)))
+        return all((lo is None or lo <= exps.get(v, 0)) and (hi is None or exps.get(v, 0) <= hi)
+                   for v, (lo, hi) in window.bounds)
+
+    return s._of(s.ring, s.vars, {key: c for key, c in s.terms.items() if inside(key)}, s.den)
+
+
+def mul_series_grouped(vs: VecSeries, s: FracSeries, box: Window | None = None) -> VecSeries:
+    """The vector-by-scalar product by a grouped pairing of its own: only the
+    pairs inside the box, the vector terms grouped by the box's narrowest
+    bounded variable, and a unit monomial on the scalar side only moving
+    keys."""
+    allvars, den, a, b = vs._aligned(s)
+    limits = box.limits(allvars, den) if box is not None else []
+    if limits is None:
+        return vs._of(vs.ring, allvars, {}, den)
+    if len(b) == 1 and next(iter(b.values())) == vs.ring.one:
+        (sint,) = b
+        moved = ((tuple(map(add, vint, sint)), vec) for vint, vec in a.items())
+        terms = {key: vec for key, vec in moved if all(lo <= key[i] <= hi for i, lo, hi in limits)}
+        return vs._of(vs.ring, allvars, terms, den)
+    ix, glo, ghi = min(limits, key=lambda lim: lim[2] - lim[1]) if limits else (None, 0, 0)
+    groups: dict = {}
+    for vint, vec in a.items():
+        groups.setdefault(0 if ix is None else vint[ix], []).append((vint, vec))
+    cols = sorted(groups)
+    acc: dict = {}
+    for sint, c in b.items():
+        d = 0 if ix is None else sint[ix]
+        # the box shifted by this scalar term: bounds on vint itself
+        bounds = [(i, lo - sint[i], hi - sint[i]) for i, lo, hi in limits if i != ix]
+        for col in cols[bisect_left(cols, glo - d):bisect_right(cols, ghi - d)]:
+            for vint, vec in groups[col]:
+                for i, lo, hi in bounds:
+                    if not lo <= vint[i] <= hi:
+                        break
+                else:
+                    key = tuple(map(add, vint, sint))
+                    cur = acc.get(key)
+                    if cur is None:
+                        cur = acc[key] = Vec(vs.ring)
+                    cur.add_scaled(vec, c)
+    terms = {key: vec.reduce() for key, vec in acc.items() if not vec.is_zero()}
+    return vs._of(vs.ring, allvars, terms, den)

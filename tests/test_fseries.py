@@ -6,7 +6,7 @@ from operator import add
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from permtwist.exactnum import get_ring
 from permtwist.fermion import Vec, VecSeries
@@ -28,6 +28,7 @@ from permtwist.fseries import (
     power_sum,
     unit_pow,
 )
+from oracles import cut_by_window, mul_series_grouped, product_all_pairs
 
 R1 = get_ring(1)
 
@@ -411,6 +412,91 @@ def test_results_are_canonical_and_match_plain_dict_arithmetic(k, raw_a, raw_b, 
         assert got == cls(ring, XY, plain)
 
 
+# -- the one box-aware product against every term pair, cut afterwards -----------
+
+# an operand: a random series, or a monomial of coefficient one
+_OPERAND = st.one_of(_RAW, st.tuples(st.tuples(_EXPONENT, _EXPONENT), st.integers(0, 2)).map(
+    lambda t: ([(t[0], [(Fr(1), 0, 0)])], t[1])))
+
+
+def _boxes_near(raw_a, raw_b):
+    """Boxes over x, y and z, each side open or where product terms land:
+    on x and y a sum of the operands' exponents, on z, which no operand
+    carries, near 0."""
+    pairs = [(ea, eb) for ea, _ in raw_a[0] for eb, _ in raw_b[0]]
+    sides = {v: sorted({ea[i] + eb[i] for ea, eb in pairs} | {Fr(0)}) for i, v in enumerate("xy")}
+    sides["z"] = [Fr(-1), Fr(0), Fr(1, 2)]
+    bounds = {
+        v: st.tuples(*[st.one_of(st.none(), st.sampled_from(vals))] * 2).map(
+            lambda b: b if None in b or b[0] <= b[1] else b[::-1])
+        for v, vals in sides.items()
+    }
+    return st.fixed_dictionaries({}, optional=bounds).map(lambda b: Window.of(**b))
+
+
+_PRODUCT_CASE = st.tuples(_OPERAND, _OPERAND).flatmap(
+    lambda ab: st.tuples(st.integers(1, 5), st.just(ab[0]), st.just(ab[1]), _boxes_near(*ab), st.booleans()))
+
+
+def _boxed_product_and_oracle(k, raw_a, raw_b, box, vec):
+    """a.mul(b, box) and the all-pairs product cut by the box, for a scalar
+    or vector a and a scalar b."""
+    ring = get_ring(k)
+    _pa, a = _plain_and_series(ring, raw_a, vec)
+    _pb, b = _plain_and_series(ring, raw_b)
+    return a, b, a.mul(b, box), cut_by_window(product_all_pairs(a, b), box)
+
+
+def _product_misses_oracle(case) -> bool:
+    _a, _b, got, want = _boxed_product_and_oracle(*case)
+    return got != want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRODUCT_CASE)
+def test_boxed_product_is_the_all_pairs_product_cut_by_the_box(case):
+    a, b, got, want = _boxed_product_and_oracle(*case)
+    _assert_canonical(got, type(a))
+    assert got == want
+    box = case[3]
+    if isinstance(a, VecSeries):  # and the grouped vector pairing agrees
+        assert got == mul_series_grouped(a, b, box)
+
+
+def test_a_box_one_step_narrow_in_the_grouping_variable_fails_the_oracle(monkeypatch):
+    limits = Window.limits
+
+    def narrowed(self, vars, den):
+        out = limits(self, vars, den)
+        if out:  # the product groups by the first bound of least width
+            j = min(range(len(out)), key=lambda j: out[j][2] - out[j][1])
+            i, lo, hi = out[j]
+            out[j] = (i, lo, hi - 1)
+        return out
+
+    monkeypatch.setattr(Window, "limits", narrowed)
+    # the oracle reads the box exponent by exponent, so only the product moves
+    find(_PRODUCT_CASE, _product_misses_oracle,
+         settings=settings(max_examples=500, database=None, phases=[Phase.generate]))
+
+
+def test_a_bound_on_an_absent_variable_reads_its_exponent_as_zero():
+    ring = get_ring(3)
+    x1 = FracSeries(ring, ("x",), {(1,): 1})
+    zero = FracSeries.zero(ring, ("x",))
+    # both sides are zero on y in [1, 2]; on y in [-1, 2] they differ at x^1
+    assert assert_equal_on_window(x1, zero, Window.of(x=(0, 3), y=(1, 2)), "t").status == "pass"
+    assert assert_equal_on_window(x1, zero, Window.of(x=(0, 3), y=(-1, 2)), "t").first_mismatch == "at x^1: 1 != 0"
+    assert x1.truncate("y", -1).is_zero() and x1.truncate("y", 0) == x1
+    assert x1.truncate_window(Window.of(y=(Fr(1, 2), None))).is_zero()
+    assert x1.mul(x1, Window.of(y=(1, None))).is_zero()
+    assert x1.mul(x1, Window.of(x=(None, 2), y=(None, 0))) == x1 * x1
+    vs = VecSeries(ring, ("x",), {(1,): Vec.basis(ring, (-1,))})
+    assert vs.truncate_window(Window.of(z=(-2, -1))).is_zero()
+    assert vs.mul_series(x1, Window.of(z=(-2, -1))).is_zero()
+    assert vs.mul_series(x1, Window.of(z=(0, 0))) == vs.mul_series(x1)
+
+
 def test_sqrt5_is_an_eta_sum_and_scale_keeps_every_term():
     # the Gauss sum at k = 5: sqrt 5 = eta + eta^4 - eta^2 - eta^3, three slots
     ring = get_ring(5)
@@ -441,13 +527,17 @@ def test_window_limits_at_negative_fractional_bounds():
     w = Window.of(x=(Fr(-5, 3), Fr(7, 2)), z=(Fr(-1, 4), Fr(-1, 5)))
     # over den 6: ceil(-10) = -10 and floor(21) = 21; z: ceil(-3/2), floor(-6/5)
     assert w.limits(("x", "y", "z"), 6) == [(0, -10, 21), (2, -1, -2)]
-    assert w.limits(("x",), 4) == [(0, -6, 14)]  # ceil(-20/3), floor(14)
+    # an x-only series has z^0 everywhere, outside z's bound: the box is empty
+    assert w.limits(("x",), 4) is None
+    wx = Window.of(x=(Fr(-5, 3), Fr(7, 2)))
+    assert wx.limits(("x",), 4) == [(0, -6, 14)]  # ceil(-20/3), floor(14)
     # the limits keep exactly the keys of the window
     s = FracSeries(R1, ("x",), {(Fr(n, 6),): 1 for n in range(-14, 26)})
     kept = {e for e, _c in s.truncate("x", Fr(7, 2)).by_exponent() if e >= Fr(-5, 3)}
     assert kept == {Fr(n, 6) for n in range(-10, 22)}
     vs = VecSeries(R1, ("x",), {(Fr(n, 6),): Vec.basis(R1, ()) for n in range(-14, 26)})
-    assert {e for e, _v in vs.truncate_window(w).by_exponent()} == kept
+    assert {e for e, _v in vs.truncate_window(wx).by_exponent()} == kept
+    assert vs.truncate_window(w).is_zero()
 
 
 def test_exponents_read_back_as_fractions():

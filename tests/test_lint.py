@@ -1,6 +1,8 @@
-"""A lint step on the standard library alone: no module-level import in the
-package may go unused.  Deleting code tends to orphan imports; this catches
-them without a third-party linter."""
+"""Lint steps on the standard library alone.  No module-level import in the
+package may go unused: deleting code tends to orphan imports, and this
+catches them without a third-party linter.  No series product may be cut
+after it is built: `FracSeries.mul` takes the box and forms only the pairs
+inside it."""
 
 from __future__ import annotations
 
@@ -68,3 +70,36 @@ def test_the_lint_sees_what_it_should():
     )
     # os, lcm and Fr are read nowhere; sys is exported, the rest are read
     assert unused_imports(src) == ["os", "lcm", "Fr"]
+
+
+CUTS = ("truncate", "truncate_window")
+
+
+def cuts_of_products(source: str) -> list[int]:
+    """The lines of source that call `.truncate(...)` or
+    `.truncate_window(...)` directly on a `*` product."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in CUTS
+        and isinstance(node.func.value, ast.BinOp) and isinstance(node.func.value.op, ast.Mult)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_product_is_cut_after_it_is_built(path):
+    assert cuts_of_products(path.read_text()) == []
+
+
+def test_the_product_lint_sees_what_it_should():
+    src = (
+        "a = (b * c).truncate('x', 3)\n"
+        "d = f((b * c).truncate_window(w))\n"
+        "e = b.mul(c, w)\n"
+        "g = (b + c).truncate('x', 3)\n"
+        "h = b * c.truncate('x', 3)\n"
+        "p = (b * c).truncated('x', 3)\n"
+        "q = (b * c)\n"
+        "r = q.truncate('x', 3)\n"
+    )
+    # only the first two cut a product where it is built
+    assert cuts_of_products(src) == [1, 2]

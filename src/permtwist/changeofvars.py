@@ -126,8 +126,7 @@ def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trun
     least one, so the sum provably terminates); `trunc` optionally bounds a
     second variable when the coefficients are themselves series.
     """
-    one = FracSeries.one(ring)
-    cmap = {j + 1: one * c for j, c in enumerate(coeffs)}  # a Scalar or a series, as a series
+    cmap = {j + 1: FracSeries.one(ring) * c for j, c in enumerate(coeffs)}  # Scalars as series
     seed = FracSeries.monomial(ring, 1, {var: 1})
     if a0 is not None:
         seed = seed * a0
@@ -503,9 +502,10 @@ def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> 
 
     def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)
-        for j, aj in enumerate(a, start=1):
-            nxt = nxt + superfield_generator(j, cur, odd).shift_exponents("z", Fr(-j, k)) * aj
-        return nxt.truncate("x", trunc_order)
+        for j, aj in enumerate(a, start=1):  # L_j raises every x-exponent by j: cut before it
+            nxt = nxt + superfield_generator(j, cur.truncate("x", trunc_order - j), odd).shift_exponents(
+                "z", Fr(-j, k)) * aj
+        return nxt
 
     return power_sum(seed, step, inverse_factorial, int(trunc_order) + 2)
 

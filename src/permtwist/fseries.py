@@ -644,9 +644,8 @@ class Window:
 
     @staticmethod
     def of(**bounds) -> "Window":
-        norm = tuple(sorted(
-            (v, tuple(None if e is None else Fraction(e) for e in lohi)) for v, lohi in bounds.items()
-        ))
+        norm = tuple(sorted((v, tuple(None if e is None else Fraction(e) for e in lohi))
+                            for v, lohi in bounds.items()))
         for v, (lo, hi) in norm:
             if lo is not None and hi is not None and lo > hi:
                 raise ValueError(f"window for {v} has lo > hi")
@@ -668,7 +667,8 @@ class Window:
         out = []
         for v, (lo, hi) in self.bounds:
             if v in vars:
-                out.append((vars.index(v), -inf if lo is None else ceil(lo * den), inf if hi is None else floor(hi * den)))
+                out.append((vars.index(v), -inf if lo is None else ceil(lo * den),
+                            inf if hi is None else floor(hi * den)))
             elif not (lo or 0) <= 0 <= (hi or 0):  # an open side admits 0
                 return None
         return out

@@ -503,8 +503,8 @@ def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> 
     def step(cur: FracSeries) -> FracSeries:
         nxt = FracSeries.zero(ring, cur.vars)
         for j, aj in enumerate(a, start=1):  # L_j raises every x-exponent by j: cut before it
-            nxt = nxt + superfield_generator(j, cur.truncate("x", trunc_order - j), odd).shift_exponents(
-                "z", Fr(-j, k)) * aj
+            gen = superfield_generator(j, cur.truncate("x", trunc_order - j), odd)
+            nxt = nxt + gen.shift_exponents("z", Fr(-j, k)) * aj
         return nxt
 
     return power_sum(seed, step, inverse_factorial, int(trunc_order) + 2)

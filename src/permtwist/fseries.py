@@ -431,12 +431,12 @@ class FracSeries:
                     d = min(repl.exponents_of(trunc_var), default=0)
                     deep = Fraction(trunc_order) - min(groups) * max(d, 0)
                     base[step] = (invert_series(repl, trunc_var, deep), Window.below(trunc_var, deep))
-                factor, depth = base[step]
+                factor, chain = base[step]
                 near = e - step
                 while near not in powers:
                     near -= step
                 for m in range(near + step, e + step, step):
-                    powers[m] = powers[m - step].mul(factor, depth)
+                    powers[m] = powers[m - step].mul(factor, chain)
             out = out + self._of(self.ring, rest, terms, self.den).mul(powers[e], cut)
         return out
 

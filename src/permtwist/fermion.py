@@ -525,8 +525,6 @@ def virasoro_mode(n: int, target: Vec) -> Vec:
 class VecSeries(FracSeries):
     """A series whose coefficients are Vecs.  All series arithmetic is
     FracSeries'; the class supplies the zero and the multiply-accumulate.
-    `mul_series` and `truncate_window` are `mul` and the kernel's cut under
-    the names the benchmark tracer wraps.
 
     Series entries are never mutated: every `add_scaled` or `reduce` receiver
     is a fresh accumulator, so a result may share its operands' Vec objects.
@@ -544,9 +542,11 @@ class VecSeries(FracSeries):
         return out.reduce()
 
     def mul_series(self, s: FracSeries, box: Window | None = None) -> "VecSeries":
+        """`mul` by a scalar series, under the name the benchmark tracer wraps."""
         return self.mul(s, box)
 
     def truncate_window(self, window: Window) -> "VecSeries":
+        """The kernel's cut, under the name the benchmark tracer wraps."""
         return super().truncate_window(window)
 
 

@@ -6,6 +6,8 @@ Everything here revolves around one change of variable,
 
 the local coordinate of a k-fold cover.  The module provides:
 
+  * one flow exponential exp(sign * (V d/dx + w dV/dx)) of a vector field
+    V = sum_j c_j x^{j+1} on weight-w densities, one boxed product per step,
   * a generic order-by-order solver writing a series f in x*R[[x]] as
         f = exp(sign * sum_j A_j x^{j+1} d/dx) . a0^{x d/dx} . x,
   * the coefficient table a_j of the covering map (sign -1 normalization,
@@ -16,7 +18,8 @@ the local coordinate of a k-fold cover.  The module provides:
     coefficient series Theta_j extracted from it, with closed-form checks
     under the substitution x = (1/k) z^{1/k-1} z0,
   * the action of the covering map on C[x,x^{-1}][phi] (one even and one
-    Grassmann coordinate) and its two first-order transport identities.
+    Grassmann coordinate), its two first-order transport identities and its
+    superfield route: the same flow, with phi a density of weight 1/2.
 
 All series are exact sparse fractional-exponent series; no floats anywhere.
 """
@@ -110,29 +113,34 @@ def _maybe_scalar(s: FracSeries):
     return s
 
 
-def _apply_flow(coeffs: dict, var: str, s: FracSeries, sign: int, box: Window) -> FracSeries:
-    """(sign * sum_j coeffs[j] var^{j+1} d/dvar) s in the box, for series coeffs."""
-    ds = s.derivative(var)
-    out = FracSeries.zero(s.ring, s.vars)
-    for j, c in coeffs.items():
-        out = out + ds.shift_exponents(var, j + 1).mul(c, box)
-    return out * Fr(sign)
+def flow_step(s: FracSeries, field: FracSeries, var: str, sign: int, box: Window, density) -> FracSeries:
+    """sign * (V d/dvar + density * dV/dvar) s in the box, V = field."""
+    out = s.derivative(var).mul(field, box)
+    if density:
+        out = out + s.mul(field.derivative(var) * density, box)
+    return out * sign
+
+
+def flow_exponential(seed: FracSeries, field: FracSeries, var: str, sign: int, box: Window,
+                     density) -> FracSeries:
+    """exp(sign * (V d/dvar + density * dV/dvar)) . seed in the box, V = field: V has
+    var-order >= 2, so each step raises the var-degree by at least one, and the
+    box bounds var above."""
+    limit = int(box.as_dict()[var][1]) + 2
+    return power_sum(seed, lambda s: flow_step(s, field, var, sign, box, density), inverse_factorial, limit)
 
 
 def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trunc=None) -> FracSeries:
-    """exp(sign * sum_j coeffs[j-1] var^{j+1} d/dvar) . a0^{var d/dvar} . var.
-
-    Truncated above var^order (each generator raises the var-degree by at
-    least one, so the sum provably terminates); `trunc` optionally bounds a
-    second variable when the coefficients are themselves series.
-    """
-    cmap = {j + 1: FracSeries.one(ring) * c for j, c in enumerate(coeffs)}  # Scalars as series
+    """exp(sign * sum_j coeffs[j-1] var^{j+1} d/dvar) . a0^{var d/dvar} . var,
+    truncated above var^order; `trunc` optionally bounds a second variable
+    when the coefficients are themselves series."""
+    field = sum((FracSeries.monomial(ring, 1, {var: j + 1}) * c for j, c in enumerate(coeffs, 1)),
+                FracSeries.zero(ring))
     seed = FracSeries.monomial(ring, 1, {var: 1})
     if a0 is not None:
         seed = seed * a0
-    cut = Window.of(**{var: (None, order)}, **({trunc[0]: (None, trunc[1])} if trunc else {}))
-    return power_sum(seed, lambda acc: _apply_flow(cmap, var, acc, sign, cut), inverse_factorial,
-                     int(Fraction(order)) + 2)
+    box = Window.of(**{var: (None, order)}, **({trunc[0]: (None, trunc[1])} if trunc else {}))
+    return flow_exponential(seed, field, var, sign, box, 0)
 
 
 def solve_exp_coeffs(f: FracSeries, var: str, order: int, sign: int, *, trunc=None) -> ExpCoeffs:
@@ -471,27 +479,18 @@ def rep_identity_check(k: int, n_window: int = 6, trunc_order: int = 8) -> list[
 # ---------------------------------------------------------------------------
 
 
-def superfield_generator(j: int, s: FracSeries, odd: bool, x: str = "x") -> FracSeries:
-    """L_j(x, phi) s = -(x^{j+1} d/dx + ((j+1)/2) x^j phi d/dphi) s.
-
-    L_j preserves parity: for odd, s stands for phi s and the result for phi
-    times the returned series.
-    """
-    out = s.derivative(x).shift_exponents(x, j + 1)
-    if odd:
-        out = out + s.shift_exponents(x, j) * Fr(j + 1, 2)
-    return -out
-
-
 def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> FracSeries:
-    """exp(sum_j a_j z^{-j/k} L_j(x,phi)) . (graded dilation) . s.
+    """exp(sum_j a_j z^{-j/k} L_j(x,phi)) . (graded dilation) . s, where
+    L_j(x,phi) = -(x^{j+1} d/dx + ((j+1)/2) x^j phi d/dphi).
 
     For odd, s stands for phi s, and the result is the series that phi
     multiplies in the image.  The graded dilation is the substitution
     x -> k z^{(k-1)/k} x, and on phi the factor k^{1/2} z^{(k-1)/2k}; then
     the exponential of the degree-raising generators is applied, truncated
-    in x.  The whole transform is the operator route to the closed forms of
-    rep_apply(..., forward=True) and is checked against them.
+    in x: sum_j a_j z^{-j/k} L_j is the flow of V = sum_j a_j z^{-j/k} x^{j+1}
+    with sign -1, phi s a density of weight 1/2.  The whole transform is the
+    operator route to the closed forms of rep_apply(..., forward=True) and is
+    checked against them.
     """
     ring = s.ring
     a = a_table(k, int(trunc_order) + 1)
@@ -499,15 +498,8 @@ def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> 
     seed = s.substitute("x", dilation, "x", trunc_order)
     if odd:
         seed = seed.shift_exponents("z", Fr(k - 1, 2 * k)) * ring.sqrt_k()
-
-    def step(cur: FracSeries) -> FracSeries:
-        nxt = FracSeries.zero(ring, cur.vars)
-        for j, aj in enumerate(a, start=1):  # L_j raises every x-exponent by j: cut before it
-            gen = superfield_generator(j, cur.truncate("x", trunc_order - j), odd)
-            nxt = nxt + gen.shift_exponents("z", Fr(-j, k)) * aj
-        return nxt
-
-    return power_sum(seed, step, inverse_factorial, int(trunc_order) + 2)
+    field = FracSeries(ring, ("x", "z"), {(j + 1, Fr(-j, k)): aj for j, aj in enumerate(a, 1)})
+    return flow_exponential(seed, field, "x", -1, Window.below("x", trunc_order), Fr(1, 2) if odd else 0)
 
 
 def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:

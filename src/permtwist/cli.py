@@ -41,12 +41,6 @@ from .twistor import (
     untwist_evenbranch_witness,
 )
 
-CHECK_NAMES = (
-    "delta", "rep", "conjugation", "supercomm", "jacobi", "lminus1",
-    "grading", "roundtrip", "char", "even-obstruction",
-)
-
-
 @dataclass
 class RunConfig:
     """What one invocation sweeps over."""
@@ -187,6 +181,7 @@ FAMILIES = {
     "char": run_char,
     "even-obstruction": run_even_obstruction,
 }
+CHECK_NAMES = tuple(FAMILIES)
 
 
 def collect(names, cfg: RunConfig) -> list[tuple[str, CheckReport]]:
@@ -198,12 +193,15 @@ def collect(names, cfg: RunConfig) -> list[tuple[str, CheckReport]]:
     return rows
 
 
+def json_line(name: str, rep: CheckReport) -> str:
+    """One report as its JSON line, the family name first."""
+    return json.dumps({"check": name, **rep.to_json()})
+
+
 def emit(rows, out=None) -> int:
     worst = 0
     for name, rep in rows:
-        line = {"check": name}
-        line.update(rep.to_json())
-        print(json.dumps(line), file=out or sys.stdout)
+        print(json_line(name, rep), file=out or sys.stdout)
         if not rep.passed:
             worst = 1
     return worst
@@ -295,7 +293,7 @@ def cmd_char(args) -> int:
     for k in sorted(_parse_ks(args.k)):
         if k % 2 == 0:
             rep = evidence_even(k, cutoff)
-            print(json.dumps({"check": "char", **rep.to_json()}))
+            print(json_line("char", rep))
             continue
         plain = char_plain(cutoff)
         tw = char_twisted(k, cutoff)
@@ -344,9 +342,7 @@ def cmd_report(args) -> int:
     lines = []
     counts = {"pass": 0, "fail": 0, "expected-obstruction": 0}
     for name, rep in rows:
-        line = {"check": name}
-        line.update(rep.to_json())
-        lines.append(json.dumps(line))
+        lines.append(json_line(name, rep))
         counts[rep.status] = counts.get(rep.status, 0) + 1
     (path / "checks.jsonl").write_text("\n".join(lines) + "\n")
     summary = {"total": len(rows), **counts}

@@ -579,11 +579,8 @@ def vertex_op(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
     The series is bounded below by the weight floor; the window supplies the
     upper exponent cutoff (the creation direction is infinite).
     """
-    bounds = window.as_dict()
-    if var not in bounds:
-        raise ValueError(f"window must bound {var}")
-    lo, hi = bounds[var]
-    lo = max(Fr(lo), Fr(min_exponent(u, target)))
+    lo, hi = window.span(var)
+    lo = max(lo, Fr(min_exponent(u, target)))
     out = VecSeries(target.ring, (var,))
     e = math.ceil(lo)
     while e <= hi:

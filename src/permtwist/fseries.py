@@ -553,8 +553,7 @@ def binom_expand(ring: ScalarRing, lead: Monomial, tail: Monomial, exponent, ord
     binomial convention.  The leading monomial must have coefficient 1 so that
     fractional exponents never need a root of its coefficient.
     """
-    return _binomial_sum(ring, lead, tail, (1, {}), Fraction(exponent), Fraction(1), (0, 0), order,
-                         None, (1, {}))
+    return delta_truncated(ring, lead, tail, (1, {}), shift=exponent, n_range=(0, 0), tail_order=order)
 
 
 def delta_truncated(
@@ -580,14 +579,10 @@ def delta_truncated(
 
     `den` is a monomial with coefficient +-1; -1 needs integer net exponents.
     `phase(n)` (optional) multiplies the n-th term by a Scalar, e.g. eta^(jn).
+    binom_expand is the one n = 0 term.  Every (n, j) term is added into one
+    series over one common den.
     """
-    return _binomial_sum(ring, lead, tail, den, Fraction(shift), Fraction(step), n_range, tail_order,
-                         phase, prefix)
-
-
-def _binomial_sum(ring, lead, tail, den, shift, step, n_range, tail_order, phase, prefix) -> FracSeries:
-    """delta_truncated, and binom_expand as its one n = 0 term: every (n, j)
-    term is added into one series over one common den."""
+    shift, step = Fraction(shift), Fraction(step)
     lc, tc = lead[0], tail[0]
     if (isinstance(lc, Scalar) and lc != ring.one) or (not isinstance(lc, Scalar) and Fraction(lc) != 1):
         raise ValueError("binom_expand: leading coefficient must be 1")
@@ -658,6 +653,13 @@ class Window:
 
     def as_dict(self):
         return dict(self.bounds)
+
+    def span(self, var: str) -> tuple[Fraction, Fraction]:
+        """var's (lo, hi); ValueError naming var when a side is missing or open."""
+        lo, hi = self.as_dict().get(var, (None, None))
+        if lo is None or hi is None:
+            raise ValueError(f"window must bound {var} on both sides, got {self.render() or 'no bounds'}")
+        return lo, hi
 
     def limits(self, vars: tuple[str, ...], den: int) -> list[tuple[int, int, int]] | None:
         """(index into vars, ceil(lo*den), floor(hi*den)) of every bounded

@@ -228,10 +228,7 @@ def ybar(u: Vec, target: Vec, window: Window, var: str = "x") -> VecSeries:
     """
     ring = target.ring
     k = ring.k
-    bounds = window.as_dict()
-    if var not in bounds:
-        raise ValueError(f"window must bound {var}")
-    lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
+    lo, hi = window.span(var)
     dressed = delta_apply(u)
     # x^(f/k + e) as an integer numerator over den, a multiple of k and of
     # the dressing's den
@@ -691,10 +688,7 @@ def untwist(u: Vec, w: Vec, window: Window, var: str = "x") -> VecSeries:
     """
     ring = w.ring
     k = ring.k
-    bounds = window.as_dict()
-    if var not in bounds:
-        raise ValueError(f"window must bound {var}")
-    lo, hi = Fr(bounds[var][0]), Fr(bounds[var][1])
+    lo, hi = window.span(var)
     out = VecSeries(ring, (var,))
     for E, uJ in delta_apply(u, invert=True).by_exponent():
         sub = Window.of(**{var: (Fr(lo, k) - E, Fr(hi, k) - E)})

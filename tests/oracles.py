@@ -4,8 +4,9 @@ module vectors, the vertex-mode recursion with only the vacuum as its base
 case, the bracket of two fields assembled by hand, the cross-slot iterate
 as a residue sum over explicit indices, the substitution of a monomial
 for a variable, term by term, the right side of the conjugation formula
-from hand-built powers of the root difference, and the series product from
-every term pair and by a grouped vector pairing of its own.
+from hand-built powers of the root difference, the series product from
+every term pair and by a grouped vector pairing of its own, and one step
+of a flow exponential as a sum over its generators.
 
 None of this is on a check path of the package.  The per-key reference
 re-does, one `Scalar` at a time, what `fermion.Vec` does on its integer
@@ -457,3 +458,33 @@ def mul_series_grouped(vs: VecSeries, s: FracSeries, box: Window | None = None) 
                     cur.add_scaled(vec, c)
     terms = {key: vec.reduce() for key, vec in acc.items() if not vec.is_zero()}
     return vs._of(vs.ring, allvars, terms, den)
+
+
+# ---------------------------------------------------------------------------
+# one flow step, generator by generator, independent of changeofvars.flow_step
+# ---------------------------------------------------------------------------
+
+
+def flow_step_by_generators(coeffs: dict, var: str, s: FracSeries, sign: int, box: Window) -> FracSeries:
+    """(sign * sum_j coeffs[j] var^{j+1} d/dvar) s in the box, for series
+    coeffs: one shifted derivative times coeffs[j] per generator, every term
+    pair formed and cut afterwards."""
+    ds = s.derivative(var)
+    out = FracSeries.zero(s.ring, s.vars)
+    for j, c in coeffs.items():
+        out = out + cut_by_window(product_all_pairs(ds.shift_exponents(var, j + 1), c), box)
+    return out * Fr(sign)
+
+
+def superfield_step_by_generators(a, k: int, s: FracSeries, odd: bool, trunc_order) -> FracSeries:
+    """sum_j a[j-1] z^{-j/k} L_j(x, phi) s with L_j(x, phi) = -(x^{j+1} d/dx
+    + ((j+1)/2) x^j phi d/dphi), for odd s standing for phi s.  L_j raises
+    every x-exponent by j, so it is fed s cut at trunc_order - j."""
+    out = FracSeries.zero(s.ring, s.vars)
+    for j, aj in enumerate(a, start=1):
+        cur = s.truncate("x", trunc_order - j)
+        gen = cur.derivative("x").shift_exponents("x", j + 1)
+        if odd:
+            gen = gen + cur.shift_exponents("x", j) * Fr(j + 1, 2)
+        out = out - gen.shift_exponents("z", Fr(-j, k)) * aj
+    return out

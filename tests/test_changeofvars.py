@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from permtwist.changeofvars import (
@@ -17,6 +17,7 @@ from permtwist.changeofvars import (
     exp_flow,
     f_and_inverse,
     f_inverse_checks,
+    flow_step,
     recomposed_series,
     recomposition_cross_check,
     rep_apply,
@@ -36,7 +37,12 @@ from permtwist.fseries import (
     assert_equal_on_window,
 )
 
-from oracles import substitute_monomial
+from oracles import (
+    cut_by_window,
+    flow_step_by_generators,
+    substitute_monomial,
+    superfield_step_by_generators,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +484,53 @@ def test_superfield_exponential_is_multiplicative_in_both_parities(k, n, odd):
     got = superfield_transform(k, FracSeries.monomial(ring, 1, {"x": n}, vars=("z",)), odd, 7)
     rep = assert_equal_on_window(got, rep_apply(ring, k, n, odd, 7), Window.of(x=(0, 7)), "superfield.power")
     assert rep.status == "pass", rep.first_mismatch
+
+
+# -- one flow step against its generators, one by one ------------------------
+
+# k, the box's top x-exponent, an (x, z) series as (x-exponent, -k * z-exponent,
+# coefficient) triples and an optional top z-exponent (times -k) for the solver
+_FLOW_CASE = st.tuples(
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8), st.integers(-3, 3).filter(bool)),
+             min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(0, 12)),
+)
+
+
+def _flow_steps_and_references(k, top, raw, ztop, narrow=0, half=F(1, 2)):
+    """(flow_step, reference, box) for one random series: the superfield step
+    at density 0 and 1/2 (sign -1), and the solver's step at sign +-1 and
+    density 0.  narrow and half change only the flow_step side."""
+    ring = get_ring(k)
+    s = FracSeries(ring, ("x", "z"), {(ex, F(-ez, k)): c for ex, ez, c in raw})
+    a = a_table(k, top + 1)
+    field = FracSeries(ring, ("x", "z"), {(j + 1, F(-j, k)): aj for j, aj in enumerate(a, 1)})
+    zbound = {} if ztop is None else {"z": (None, F(-ztop, k))}
+    box, cut = Window.of(x=(None, top), **zbound), Window.of(x=(None, top - narrow), **zbound)
+    out = []
+    for odd in (False, True):
+        got = flow_step(s, field, "x", -1, Window.below("x", top - narrow), half if odd else 0)
+        out.append((got, superfield_step_by_generators(a, k, s, odd, top), Window.below("x", top)))
+    coeffs = {j: FracSeries.monomial(ring, aj, {"z": F(-j, k)}) for j, aj in enumerate(a, 1)}
+    for sign in (1, -1):
+        out.append((flow_step(s, field, "x", sign, cut, 0), flow_step_by_generators(coeffs, "x", s, sign, box), box))
+    return out
+
+
+def _flow_step_misses_reference(case, **mutant) -> bool:
+    return any(cut_by_window(got, box) != cut_by_window(want, box)
+               for got, want, box in _flow_steps_and_references(*case, **mutant))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FLOW_CASE)
+def test_one_flow_step_is_the_sum_over_its_generators(case):
+    assert not _flow_step_misses_reference(case)
+
+
+@pytest.mark.parametrize("mutant", [{"narrow": 1}, {"half": F(1)}], ids=["box-one-step-narrow", "density-one"])
+def test_a_narrow_box_or_a_wrong_density_fails_the_reference(mutant):
+    find(_FLOW_CASE, lambda case: _flow_step_misses_reference(case, **mutant),
+         settings=settings(max_examples=500, database=None, phases=[Phase.generate]))

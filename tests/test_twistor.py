@@ -711,6 +711,15 @@ def test_untwist_exponents_are_integral_even_k():
     assert all(e.denominator == 1 for e in ser.exponents_of("x"))
 
 
+@pytest.mark.parametrize("window", [Window.of(x=(None, 2)), Window.of(x=(-1, None)), Window.of(y=(0, 1))],
+                         ids=["open-below", "open-above", "no-x"])
+@pytest.mark.parametrize("field", [vertex_op, ybar, untwist])
+def test_a_field_window_open_on_a_side_or_without_x_is_a_value_error(field, window):
+    with pytest.raises(ValueError, match=r"window must bound x on both sides"):
+        field(psi_vec(R3), vac_vec(R3), window)
+    assert Window.of(x=(-1, 2), y=(None, 0)).span("x") == (F(-1), F(2))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_untwist_names_the_lowest_off_lattice_exponent(monkeypatch, k):
     # inverse-dressing buckets moved 1/2k off the lattice move every rebuilt

@@ -113,12 +113,12 @@ def _maybe_scalar(s: FracSeries):
     return s
 
 
-def flow_step(s: FracSeries, field: FracSeries, var: str, sign: int, box: Window, density) -> FracSeries:
-    """sign * (V d/dvar + density * dV/dvar) s in the box, V = field."""
+def flow_step(s: FracSeries, field: FracSeries, var: str, box: Window, density) -> FracSeries:
+    """(V d/dvar + density * dV/dvar) s in the box, V = field."""
     out = s.derivative(var).mul(field, box)
     if density:
         out = out + s.mul(field.derivative(var) * density, box)
-    return out * sign
+    return out
 
 
 def flow_exponential(seed: FracSeries, field: FracSeries, var: str, sign: int, box: Window,
@@ -126,8 +126,8 @@ def flow_exponential(seed: FracSeries, field: FracSeries, var: str, sign: int, b
     """exp(sign * (V d/dvar + density * dV/dvar)) . seed in the box, V = field: V has
     var-order >= 2, so each step raises the var-degree by at least one, and the
     box bounds var above."""
-    limit = int(box.as_dict()[var][1]) + 2
-    return power_sum(seed, lambda s: flow_step(s, field, var, sign, box, density), inverse_factorial, limit)
+    field, limit = field * sign, int(box.as_dict()[var][1]) + 2
+    return power_sum(seed, lambda s: flow_step(s, field, var, box, density), inverse_factorial, limit)
 
 
 def exp_flow(ring: ScalarRing, coeffs, var: str, order, sign: int, a0=None, trunc=None) -> FracSeries:

@@ -511,11 +511,11 @@ def _flow_steps_and_references(k, top, raw, ztop, narrow=0, half=F(1, 2)):
     box, cut = Window.of(x=(None, top), **zbound), Window.of(x=(None, top - narrow), **zbound)
     out = []
     for odd in (False, True):
-        got = flow_step(s, field, "x", -1, Window.below("x", top - narrow), half if odd else 0)
+        got = flow_step(s, -field, "x", Window.below("x", top - narrow), half if odd else 0)
         out.append((got, superfield_step_by_generators(a, k, s, odd, top), Window.below("x", top)))
     coeffs = {j: FracSeries.monomial(ring, aj, {"z": F(-j, k)}) for j, aj in enumerate(a, 1)}
     for sign in (1, -1):
-        out.append((flow_step(s, field, "x", sign, cut, 0), flow_step_by_generators(coeffs, "x", s, sign, box), box))
+        out.append((flow_step(s, field * sign, "x", cut, 0), flow_step_by_generators(coeffs, "x", s, sign, box), box))
     return out
 
 

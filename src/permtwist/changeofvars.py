@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, floor
 
 from .exactnum import ScalarRing, get_ring
 from .fseries import (
@@ -125,8 +125,11 @@ def flow_exponential(seed: FracSeries, field: FracSeries, var: str, sign: int, b
                      density) -> FracSeries:
     """exp(sign * (V d/dvar + density * dV/dvar)) . seed in the box, V = field: V has
     var-order >= 2, so each step raises the var-degree by at least one, and the
-    box bounds var above."""
-    field, limit = field * sign, int(box.as_dict()[var][1]) + 2
+    box bounds var above: the steps run out between the seed's lowest
+    var-power and the box's top."""
+    hi = box.as_dict()[var][1]
+    limit = max(floor(hi - min(seed.exponents_of(var), default=hi)), 0) + 1
+    field = field * sign
     return power_sum(seed, lambda s: flow_step(s, field, var, box, density), inverse_factorial, limit)
 
 
@@ -493,9 +496,13 @@ def superfield_transform(k: int, s: FracSeries, odd: bool, trunc_order: int) -> 
     checked against them.
     """
     ring = s.ring
-    a = a_table(k, int(trunc_order) + 1)
     dilation = FracSeries.monomial(ring, k, {"x": 1, "z": Fr(k - 1, k)})
     seed = s.substitute("x", dilation, "x", trunc_order)
+    # L_j raises the x-degree by j, so the seed's lowest x-power needs a_j up
+    # to j = trunc_order - lowest; the floor at x^-1 keeps the table order
+    # trunc_order + 1 that other callers share
+    lowest = min(min(seed.exponents_of("x"), default=0), -1)
+    a = a_table(k, int(trunc_order) - floor(lowest))
     if odd:
         seed = seed.shift_exponents("z", Fr(k - 1, 2 * k)) * ring.sqrt_k()
     field = FracSeries(ring, ("x", "z"), {(j + 1, Fr(-j, k)): aj for j, aj in enumerate(a, 1)})
@@ -523,8 +530,9 @@ def superfield_exp_check(k: int, trunc_order: int = 7) -> list[CheckReport]:
             anchors=("exp(sum a_j z^(-j/k) L_j) k-dilation phi == phi k^(1/2) (z^(1/k)+x)^((k-1)/2)",), k=k,
         ),
     ]
-    sq = odd.mul(odd, Window.below("x", trunc_order))
-    deriv = rep_apply(ring, k, 1, False, int(trunc_order) + 1).derivative("x").truncate("x", trunc_order)
+    cut = Window.below("x", trunc_order)
+    sq = odd.mul(odd, cut)
+    deriv = rep_apply(ring, k, 1, False, int(trunc_order) + 1).derivative("x").truncate_window(cut)
     reports.append(
         assert_equal_on_window(
             sq, deriv, win, "superfield.odd-squares-to-derivative",

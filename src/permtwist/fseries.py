@@ -381,10 +381,6 @@ class FracSeries:
             out[key] = c * self.ring.eta(j * km)
         return self._of(self.ring, self.vars, out, self.den)
 
-    def truncate(self, var: str, max_exp) -> "FracSeries":
-        """Drop terms with var-exponent above max_exp."""
-        return self.truncate_window(Window.below(var, max_exp))
-
     def truncate_window(self, window: "Window") -> "FracSeries":
         """The terms inside the window's box."""
         terms = _inside(self.terms.items(), window.limits(self.vars, self.den))

@@ -367,13 +367,13 @@ def root_diff_pow(ring, e: int, z0_hi: int) -> FracSeries:
     if e >= 0:
         out = FracSeries.one(ring)
         for _ in range(e):
-            out = (out * base).truncate("z0", z0_hi)
+            out = (out * base).truncate_window(Window.below("z0", z0_hi))
         return out
     lead_inv = FracSeries.monomial(ring, k, {"z": 1 - Fr(1, k), "z0": -1})
     unit = base * lead_inv  # 1 + (positive z0-order tail)
     powed = unit_pow(unit, Fr(e), "z0", z0_hi - e)
     lead_pow = FracSeries.monomial(ring, Fr(k) ** (-e), {"z": (Fr(1, k) - 1) * e, "z0": Fr(e)})
-    return (powed * lead_pow).truncate("z0", z0_hi)
+    return (powed * lead_pow).truncate_window(Window.below("z0", z0_hi))
 
 
 def conjugation_rhs_by_powers(u: Vec, v: Vec, z0_hi: int, a_override=None) -> VecSeries:
@@ -387,7 +387,7 @@ def conjugation_rhs_by_powers(u: Vec, v: Vec, z0_hi: int, a_override=None) -> Ve
         for e in range(e_lo, z0_hi + 1):
             vec = vertex_mode(uJ, -e - 1, v)
             if not vec.is_zero():
-                fs = (pref * root_diff_pow(ring, e, z0_hi)).truncate("z0", z0_hi)
+                fs = (pref * root_diff_pow(ring, e, z0_hi)).truncate_window(Window.below("z0", z0_hi))
                 rhs = rhs + VecSeries(ring, ("z", "z0"), {(0, 0): vec}).mul_series(fs)
     return rhs
 
@@ -482,7 +482,7 @@ def superfield_step_by_generators(a, k: int, s: FracSeries, odd: bool, trunc_ord
     every x-exponent by j, so it is fed s cut at trunc_order - j."""
     out = FracSeries.zero(s.ring, s.vars)
     for j, aj in enumerate(a, start=1):
-        cur = s.truncate("x", trunc_order - j)
+        cur = s.truncate_window(Window.below("x", trunc_order - j))
         gen = cur.derivative("x").shift_exponents("x", j + 1)
         if odd:
             gen = gen + cur.shift_exponents("x", j) * Fr(j + 1, 2)

@@ -474,15 +474,18 @@ def test_superfield_exponential_route(k):
 
 
 @pytest.mark.parametrize("odd", [False, True])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_superfield_exponential_is_multiplicative_in_both_parities(k, n, odd):
     # the operator exponential on x^n (or phi x^n) is the n-th power of the
     # closed-form even coordinate (times the odd dressing): this reaches the
-    # phi d/dphi term of L_j at every x-degree
+    # phi d/dphi term of L_j at every x-degree.  A seed below x^-1 needs the
+    # flow coefficients and the flow steps from its own lowest x-power up to
+    # the cut, not from x^0
     ring = get_ring(k)
     got = superfield_transform(k, FracSeries.monomial(ring, 1, {"x": n}, vars=("z",)), odd, 7)
-    rep = assert_equal_on_window(got, rep_apply(ring, k, n, odd, 7), Window.of(x=(0, 7)), "superfield.power")
+    win = Window.of(x=(min(n, 0), 7))
+    rep = assert_equal_on_window(got, rep_apply(ring, k, n, odd, 7), win, "superfield.power")
     assert rep.status == "pass", rep.first_mismatch
 
 

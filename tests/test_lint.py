@@ -1,12 +1,13 @@
 """Lint steps on the standard library alone.  No module-level import in the
-package may go unused: deleting code tends to orphan imports, and this
-catches them without a third-party linter.  No series product may be cut
-after it is built: `FracSeries.mul` takes the box and forms only the pairs
-inside it."""
+package may go unused, and no private module-level helper may go unread:
+deleting code tends to orphan both, and this catches them without a
+third-party linter.  No series product may be cut after it is built:
+`FracSeries.mul` takes the box and forms only the pairs inside it."""
 
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,55 @@ def test_the_lint_sees_what_it_should():
     )
     # os, lcm and Fr are read nowhere; sys is exported, the rest are read
     assert unused_imports(src) == ["os", "lcm", "Fr"]
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """The private ("_"-prefixed, not dunder) module-level functions and
+    classes of sources (module name -> source) that nothing reads, as
+    "module.name".  A read is a name, an attribute or an imported name
+    anywhere in the sources outside the helper's own definition."""
+    defined, readers = [], defaultdict(set)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (module, stmt.name)
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    readers[node.id].add(owner)
+                elif isinstance(node, ast.Attribute):
+                    readers[node.attr].add(owner)
+                elif isinstance(node, ast.alias):
+                    readers[node.name].add(owner)
+    return [f"{module}.{name}" for module, name in defined if not readers[name] - {(module, name)}]
+
+
+def test_no_private_helper_is_orphaned():
+    assert orphaned_helpers({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_the_helper_lint_sees_what_it_should():
+    sources = {
+        "a": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+            "class _Orphan: pass\n"
+            "def _imported(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def __dunder__(): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b": (
+            "from .a import _imported\n"
+            "from . import a\n"
+            "f = a._by_attribute\n"
+        ),
+    }
+    # _recursive reads only itself and _Orphan is read nowhere; dunders and
+    # public names are not private helpers
+    assert orphaned_helpers(sources) == ["a._recursive", "a._Orphan"]
 
 
 CUTS = ("truncate", "truncate_window")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from permtwist import qchar
 from permtwist.qchar import (
     QSeries,
     char_plain,
@@ -24,35 +26,29 @@ from permtwist.qchar import (
 
 
 def test_qseries_add_and_lattice_guard():
-    s = QSeries(48, F(2))
-    s.add(F(-1, 48))
-    s.add(F(23, 48), 2)
-    s.add(F(5), 7)  # beyond cutoff: dropped
+    s = QSeries.census(48, F(2), [(F(-1, 48), 1), (F(23, 48), 3), (F(23, 48), -1), (F(5), 7)])
+    # F(5) lies beyond the cutoff: dropped
     assert s.terms() == [(F(-1, 48), 1), (F(23, 48), 3 - 1)]
-    with pytest.raises(ValueError):
-        s.add(F(1, 7))
+    assert s.cutoff == F(2)
+    with pytest.raises(ValueError, match="not on the 1/48 lattice"):
+        QSeries.census(48, F(2), [(F(1, 7), 1)])
 
 
 def test_qseries_subs_root_and_shift():
-    s = QSeries(48, F(1))
-    s.add(F(-1, 48))
-    s.add(F(1, 2), 3)
+    s = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(1, 2), 3)])
     r = s.subs_root(3)
     assert r.terms() == [(F(-1, 144), 1), (F(1, 6), 3)]
     assert r.cutoff == F(1, 3)
     t = s.shifted(F(1, 48))
     assert t.terms() == [(F(0), 1), (F(25, 48), 3)]
+    assert t.cutoff == F(49, 48)
 
 
 def test_qseries_product_truncation():
     # cutoff bookkeeping: the product is complete through
     # min(cutoff_a + lead_b, cutoff_b + lead_a)
-    a = QSeries(2, F(3))
-    a.add(F(-1, 2))
-    a.add(F(1))
-    b = QSeries(2, F(2))
-    b.add(F(0), 2)
-    b.add(F(1, 2), 5)
+    a = QSeries.census(2, F(3), [(F(-1, 2), 1), (F(1), 1)])
+    b = QSeries.census(2, F(2), [(F(0), 2), (F(1, 2), 5)])
     p = a * b
     assert p.cutoff == F(3, 2)  # from b's cutoff plus a's leading -1/2
     assert dict(p.terms()) == {F(-1, 2): 2, F(0): 5, F(1): 2, F(3, 2): 5}
@@ -64,19 +60,74 @@ def test_qseries_product_truncation():
     cb=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
 )
 def test_qseries_product_matches_convolution(ca, cb):
-    a = QSeries(2, F(6), {i: c for i, c in enumerate(ca) if c})
-    b = QSeries(2, F(6), {i: c for i, c in enumerate(cb) if c})
-    p = a * b
+    a = QSeries.census(2, F(6), [(F(i, 2), c) for i, c in enumerate(ca)])
+    b = QSeries.census(2, F(6), [(F(i, 2), c) for i, c in enumerate(cb)])
+    p = dict((a * b).terms())
     for key in range(0, 8):
         want = sum(ca[i] * cb[key - i] for i in range(len(ca)) if 0 <= key - i < len(cb))
-        assert p.coeffs.get(key, 0) == want
+        assert p.get(F(key, 2), 0) == want
 
 
 def test_qseries_equal_reports_first_witness():
-    a = QSeries(48, F(1), {-1: 1, 23: 1})
-    b = QSeries(48, F(1), {-1: 1, 23: 2})
+    a = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(23, 48), 1)])
+    b = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(23, 48), 2)])
     ok, witness = qseries_equal(a, b)
-    assert not ok and "23/48" in witness
+    assert not ok and witness == "at q^(23/48): 1 != 2"
+    # beyond the smaller cutoff nothing is compared
+    c = QSeries.census(48, F(1, 3), [(F(-1, 48), 1)])
+    assert qseries_equal(a, c) == (True, None)
+
+
+# -- the carried cutoff --------------------------------------------------------
+
+DEN = 2
+
+
+@st.composite
+def _cut_series(draw):
+    """A longer q-series on the 1/DEN lattice, as {exponent: coefficient}, and
+    a cutoff somewhere from below its first term to above its last."""
+    lo = draw(st.integers(-4, 4))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    cut = draw(st.integers(lo - 2, lo + len(coeffs)))
+    return {F(lo + i, DEN): c for i, c in enumerate(coeffs) if c}, F(cut, DEN)
+
+
+def _product_is_complete(pair) -> bool:
+    """Cut both series at their cutoffs and multiply them as QSeries: on q <=
+    the carried cutoff the product equals the uncut product."""
+    (fa, cut_a), (fb, cut_b) = pair
+    p = QSeries.census(DEN, cut_a, fa.items()) * QSeries.census(DEN, cut_b, fb.items())
+    full = {}
+    for ea, ca in fa.items():
+        for eb, cb in fb.items():
+            full[ea + eb] = full.get(ea + eb, 0) + ca * cb
+    return dict(p.terms()) == {e: c for e, c in full.items() if c and e <= p.cutoff}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_cut_series(), _cut_series()))
+def test_qseries_product_is_complete_below_its_carried_cutoff(pair):
+    assert _product_is_complete(pair)
+
+
+def test_a_cutoff_one_step_higher_is_caught(monkeypatch):
+    rule = QSeries.product_cutoff
+    monkeypatch.setattr(QSeries, "product_cutoff", lambda a, b: rule(a, b) + F(1, DEN))
+    # raises NoSuchExample if no pair of series exposes the mutant
+    find(st.tuples(_cut_series(), _cut_series()), lambda pair: not _product_is_complete(pair),
+         settings=settings(max_examples=500, database=None), random=Random(0))
+
+
+def test_corollary_reads_each_spectrum_once(monkeypatch):
+    calls = {"char_twisted": 0, "char_plain": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(qchar, name), **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(qchar, name, counted)
+    assert corollary_check(3, 1).status == "pass"
+    assert calls == {"char_twisted": 1, "char_plain": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,14 @@ Fr = Fraction
 
 @dataclass
 class ExpCoeffs:
-    """Solution of f = exp(sign * sum_j A_j var^{j+1} d/dvar) a0^{var d/dvar} var.
+    """Solution of f = exp(sign * sum_j A_j var^{j+1} d/dvar) a0^{var d/dvar} var,
+    var and sign as given to solve_exp_coeffs.
 
     A[j-1] holds A_j and a0 is the coefficient of var^1.  A scalar solve
     (no trunc) holds each constant entry as a Scalar; a parametric solve
     holds FracSeries in the remaining variables.
     """
 
-    var: str
-    sign: int
     a0: object
     A: list
 
@@ -174,7 +173,7 @@ def solve_exp_coeffs(f: FracSeries, var: str, order: int, sign: int, *, trunc=No
         known.append(resid * Fr(sign))
     if trunc is None:
         a0, known = _maybe_scalar(a0), [_maybe_scalar(c) for c in known]
-    return ExpCoeffs(var, sign, a0, known)
+    return ExpCoeffs(a0, known)
 
 
 # ---------------------------------------------------------------------------

@@ -681,13 +681,13 @@ def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
 
 
 def iterate_side(ring: ScalarRing, build, box: Window, e0, *, step=1, shift=0, scale=1,
-                 phases=(None,)) -> VecSeries:
+                 phases=(0,)) -> VecSeries:
     """The iterate side of a Jacobi identity, on the box (x0 integral):
 
-      x2^-1 scale sum_i sum_n phase_i(n) ((x1-x0)/x2)^(n*step+shift) I_i(x0,x2)
+      x2^-1 scale sum_i sum_n eta^(j_i n) ((x1-x0)/x2)^(n*step+shift) I_i(x0,x2)
 
-    build(x0_range, x2_range) returns the iterates I_i, one per phase (None
-    for no phase), each exact on that rectangle and zero below x0^e0.  The
+    build(x0_range, x2_range) returns the iterates I_i, one per phase j_i of
+    phases (0 for no phase), each exact on that rectangle and zero below x0^e0.  The
     binomial tail of (x1-x0)^r reaches from the box's top x0 down to e0; n
     runs over every r that puts some tail term's x1 inside the box, and the
     x2 rectangle is what those r need, so every box coefficient is exact.  A

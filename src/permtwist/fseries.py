@@ -562,19 +562,20 @@ def delta_truncated(
     step=Fraction(1),
     n_range: tuple[int, int],
     tail_order: int,
-    phase=None,
+    phase: int = 0,
     prefix: Monomial = (1, {}),
 ) -> FracSeries:
     """A truncated delta-function expression
 
-        prefix * sum_{n=n_lo}^{n_hi} phase(n) ((lead+tail)/den)^(n*step + shift)
+        prefix * sum_{n=n_lo}^{n_hi} eta^(phase*n) ((lead+tail)/den)^(n*step + shift)
 
     which covers delta((a-b)/c) and its fractional-power-dressed and k-th-root
     variants: delta itself is the step=1, shift=0 case; a prefactor ((a-b)/c)^r
     folds into shift=r; delta((a-b)^(1/k)/c^(1/k)) is step=1/k.
 
     `den` is a monomial with coefficient +-1; -1 needs integer net exponents.
-    `phase(n)` (optional) multiplies the n-th term by a Scalar, e.g. eta^(jn).
+    `phase` is an int j: the n-th term is multiplied by eta^(jn), eta the
+    ring's primitive k-th root of unity (j = 0: no phase).
     binom_expand is the one n = 0 term.  Every (n, j) term is added into one
     series over one common den.
     """
@@ -609,8 +610,9 @@ def delta_truncated(
             raise CompositionDomainError("(-mono)^fractional is ambiguous")
         # the sign of (-1)^(-e) and the phase, as one factor (None: 1)
         c = ring.rational(-1) if dc == -1 and e.numerator % 2 else None
-        if phase is not None:
-            c = phase(n) if c is None else c * phase(n)
+        if phase:
+            eta = ring.eta(phase * n)
+            c = eta if c is None else c * eta
         at_n = [b + n * s for b, s in zip(base, nstep)]
         tpow = ring.one  # tc^j
         for j in range(tail_order + 1):

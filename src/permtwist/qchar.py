@@ -16,7 +16,7 @@ with c = 1/2 per tensor factor, equivalently (clearing the anomalies)
 The bare form is the anomaly form times q^{k/48} on both sides, so one
 comparison decides both.  A character is a `QSeries`: a kernel series in q
 that carries its completeness cutoff through products, substitution and
-shifts, and is compared only below the smaller cutoff.
+shifts, and is compared only on a window that both cutoffs cover.
 
 For even k there is no grading operator to trace -- the mode constructor
 refuses with the coset certificate -- and the only honest artifact is
@@ -82,10 +82,6 @@ class QSeries:
         """q -> q^(1/k)."""
         return QSeries(self.series.scale_exponents("q", Fr(1, k)), self.cutoff / k)
 
-    def shifted(self, a) -> "QSeries":
-        """Times q^a."""
-        return QSeries(self.series.shift_exponents("q", a), self.cutoff + a)
-
     def product_cutoff(self, other: "QSeries") -> Fr:
         """The product is complete through min(cut_a + lead_b, cut_b + lead_a),
         lead the lowest exponent: a missing term of either factor pairs only
@@ -113,9 +109,14 @@ class QSeries:
         return " + ".join(parts) + more if parts else "0"
 
 
-def qseries_equal(a: QSeries, b: QSeries) -> tuple[bool, str | None]:
-    """Compare below the smaller cutoff; None means equal."""
-    diff = (a.series - b.series).truncate_window(Window.below("q", min(a.cutoff, b.cutoff)))
+def qseries_equal(a: QSeries, b: QSeries, through) -> tuple[bool, str | None]:
+    """Compare on q <= through; None means equal.  An operand complete only
+    below through raises ValueError naming its cutoff: the comparison would
+    pass on less than its window."""
+    short = min(a.cutoff, b.cutoff)
+    if short < through:
+        raise ValueError(f"q-series complete only through q^({short}), compared through q^({through})")
+    diff = (a.series - b.series).truncate_window(Window.below("q", through))
     if diff.is_zero():
         return True, None
     e = min(diff.exponents_of("q"))
@@ -199,7 +200,7 @@ def corollary_check(k: int, cutoff=2, *, a_override=None) -> CheckReport:
         # a spectrum that leaves the 1/48k lattice (or stops being diagonal)
         # cannot match any substitution character
         return report("fail", first_mismatch=f"twisted spectrum unusable: {exc}")
-    ok, witness = qseries_equal(lhs, char_plain(k * cutoff).subs_root(k))
+    ok, witness = qseries_equal(lhs, char_plain(k * cutoff).subs_root(k), cutoff)
     if ok:
         return report("pass", detail=f"twisted character starts {lhs.render(3)}")
     return report("fail", first_mismatch=witness)
@@ -207,12 +208,14 @@ def corollary_check(k: int, cutoff=2, *, a_override=None) -> CheckReport:
 
 def tensor_power_check(k: int, cutoff=2) -> CheckReport:
     """The untwisted tensor-power character is the k-th power of the plain one
-    (basis census on one side, exact series arithmetic on the other)."""
+    (basis census on one side, exact series arithmetic on the other).  Each
+    of the k - 1 products lowers the carried cutoff by the factor's lead
+    -1/48, so the factor is built through cutoff + (k-1)/48."""
     cutoff = Fr(cutoff)
     dims = graded_dims(tensor_basis(k, cutoff + Fr(k, 48)))
     lhs = QSeries.census(48, cutoff, ((wt - Fr(k, 48), dim) for wt, dim in dims.items()))
-    rhs = char_plain(cutoff + Fr(k, 48) + 1).power(k)
-    ok, witness = qseries_equal(lhs, rhs)
+    rhs = char_plain(cutoff + Fr(k - 1, 48)).power(k)
+    ok, witness = qseries_equal(lhs, rhs, cutoff)
     return CheckReport(
         "character.tensor-power", ("tensor-power census == (single-factor character)^k",),
         Window.of(q=(Fr(-k, 48), cutoff)).render(),

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import add
 
 from .changeofvars import a_table
 from .exactnum import get_ring
@@ -119,8 +120,7 @@ def _a_coeffs(k: int, depth: int, a_override) -> tuple[Fr, ...]:
     base = a_table(k, max(depth, 2))
     if a_override is None:
         return base
-    over = tuple(Fr(a) for a in a_override)
-    return (over + base[len(over):])[: len(base)]
+    return (a_override + base[len(a_override):])[: len(base)]
 
 
 def _flow_step(c: list, vec: Vec) -> Vec:
@@ -134,12 +134,12 @@ def _flow_step(c: list, vec: Vec) -> Vec:
 
 
 @lru_cache(maxsize=2**12)  # bounded; a sweep pass dresses about a hundred keys
-def _dress_key(key, k: int, invert: bool, a_override) -> tuple:
-    """The dressing of one basis key (coefficient 1), as delta_apply below
-    describes it: ((x-exponent numerator over 2k, bucket Vec), ...) by
-    descending bucket weight.  a_override is a tuple of Fractions or None.
-    The buckets are read by delta_apply only, never handed out or mutated.
-    """
+def _dress_key(key, k: int, invert: bool, a_override) -> VecSeries:
+    """The dressing of one basis key (coefficient 1) as a series in x, as
+    delta_apply below describes it, over its least den.  a_override is a
+    tuple of Fractions or None.  Series entries are never mutated, and no
+    caller adds into a series it did not build, so the cached series is
+    handed out as it is."""
     ring = get_ring(k)
     p2 = key_twice_weight(key)  # p2 and q2 are twice the weights p and q
     depth = p2 // 2
@@ -147,14 +147,17 @@ def _dress_key(key, k: int, invert: bool, a_override) -> tuple:
     c = [sign * a for a in _a_coeffs(k, depth, a_override)[:depth]]
     # the flow ends after at most depth weight-lowering steps
     flowed = power_sum(Vec.basis(ring, key), partial(_flow_step, c), inverse_factorial, depth + 1)
-    comps = reversed(flowed.weight_components())
+    # each weight-q2 part at one x-power: its numerator over 2k, and its scalar
     if invert:
-        return tuple((q2 * k - p2, vec * ring.sqrt_k_pow(q2)) for q2, vec in comps)
-    return tuple((q2 - p2 * k, vec * ring.sqrt_k_pow(-p2)) for q2, vec in comps)
+        parts = [(q2 * k - p2, vec * ring.sqrt_k_pow(q2)) for q2, vec in flowed.weight_components()]
+    else:
+        parts = [(q2 - p2 * k, vec * ring.sqrt_k_pow(-p2)) for q2, vec in flowed.weight_components()]
+    g = math.gcd(2 * k, *(en for en, _vec in parts))
+    return VecSeries._of(ring, ("x",), {(en // g,): vec for en, vec in reversed(parts)}, 2 * k // g)
 
 
-def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None) -> VecSeries:
-    """The dressing operator D(x) (or its inverse) applied to u.
+def delta_apply(u: Vec, *, invert: bool = False, a_override=None) -> VecSeries:
+    """The dressing operator D(x) (or its inverse) applied to u, a series in x.
 
     On a weight-p component the flow exp(sign * sum_j a_j L(j)) is one power
     sum; it lowers the weight by the total drop J, so its weight-q part is the
@@ -163,38 +166,25 @@ def delta_apply(u: Vec, *, invert: bool = False, var: str = "x", a_override=None
     The two compose to the identity.
 
     The dressing is linear: each basis key is dressed once, by the bounded
-    cache _dress_key, and u's buckets are its coefficients times those,
-    summed into fresh vectors.
+    cache _dress_key, and u's dressing is the sum of its coefficients times
+    those series.  A key of coefficient one contributes the cached series
+    itself.
     """
     ring = u.ring
-    k = ring.k
     over = None if a_override is None else tuple(map(Fr, a_override))
-    # (twice the source weight, exponent numerator over 2k) -> bucket
-    acc: dict[tuple[int, int], Vec] = {}
+    parts = []
     for key, c in u.terms.items():
-        p2 = key_twice_weight(key)
-        for en, bucket in _dress_key(key, k, invert, over):
-            cur = acc.get((p2, en))
-            if cur is None:
-                cur = acc[p2, en] = Vec(ring)
-            cur.add_scaled(bucket, c)
-    # by ascending source weight, then descending bucket weight, as the flow
-    # yields them; buckets of two source weights may share an exponent
-    live = sorted((pe for pe, vec in acc.items() if not vec.is_zero()), key=lambda pe: (pe[0], -pe[1]))
-    g = math.gcd(2 * k, *(en for _p2, en in live))
-    out = VecSeries._of(ring, (var,), {}, 2 * k // g)
-    for pe in live:
-        out.add_at((pe[1] // g,), acc[pe])
-    return out
+        dressed = _dress_key(key, ring.k, invert, over)
+        parts.append(dressed if c == ring.one else dressed.scale(c))
+    return reduce(add, parts) if parts else VecSeries(ring, ("x",))
 
 
 def delta_roundtrip_check(u: Vec) -> CheckReport:
-    """D(x)^{-1} D(x) u == u, combining the exponent bookkeeping of both passes."""
+    """D(x)^{-1} D(x) u == u: each forward bucket at x^e dressed back and
+    moved by x^e."""
     ring = u.ring
-    back = VecSeries(ring, ("x",))
-    for e, vec in delta_apply(u).by_exponent():
-        for e2, vec2 in delta_apply(vec, invert=True).by_exponent():
-            back.add_term((e + e2,), vec2)
+    back = sum((delta_apply(vec, invert=True).shift_exponents("x", e)
+                for e, vec in delta_apply(u).by_exponent()), VecSeries(ring, ("x",)))
     want = VecSeries(ring, ("x",))
     want.add_term((Fr(0),), u)
     exps = back.exponents_of("x") | {Fr(0)}
@@ -436,15 +426,15 @@ def conjugation_check(u: Vec, v: Vec, *, z0_hi: int = 3, a_override=None) -> Che
     win = Window.of(z0=(d_lo, z0_hi))  # z unconstrained: exact per z0-degree
     # left: dress down, insert, dress up
     lhs = VecSeries(ring, ("z", "z0"))
-    for ez, vJ in delta_apply(v, invert=True, var="z", a_override=a_override).by_exponent():
+    for ez, vJ in delta_apply(v, invert=True, a_override=a_override).by_exponent():
         for d in range(min_exponent(u, vJ), z0_hi + 1):
             res = vertex_mode(u, -d - 1, vJ)
             if res.is_zero():
                 continue
-            for ez2, out_vec in delta_apply(res, var="z", a_override=a_override).by_exponent():
+            for ez2, out_vec in delta_apply(res, a_override=a_override).by_exponent():
                 lhs.add_term((ez + ez2, Fr(d)), out_vec)
     # right: sum_E (z+z0)^E Y(u_E, y) v, then y -> (z+z0)^{1/k} - z^{1/k}
-    buckets = list(delta_apply(u, var="z", a_override=a_override).by_exponent())
+    buckets = list(delta_apply(u, a_override=a_override).by_exponent())
     # negative powers of the root difference reach down to z0^e, so each
     # prefactor needs the matching extra depth before the substitution
     deep = z0_hi - min([0, *(min_exponent(uJ, v) for _E, uJ in buckets)])
@@ -610,12 +600,8 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
     # share one window and one residue-form rectangle.
     e0min = min_exponent(u, v)
     N = max(1, -e0min)
-
-    def phase(j):
-        return lambda n: ring.eta((j * n) % k)
-
     j_same = (s1 - s2) % k
-    cross = [j for j in range(k) if j != j_same]
+    cross = tuple(j for j in range(k) if j != j_same)
 
     def cross_legs(r0, r2):
         jobs = [(((one, ((s1 - 1 - j) % k) + 1),), r0, r2) for j in cross]
@@ -623,9 +609,9 @@ def twisted_jacobi_check(u: Vec, s1: int, v: Vec, s2: int, w: Vec,
 
     delta = {"step": Fr(1, k), "scale": Fr(1, k)}
     legs = [(lambda r0, r2: [iterate_modesum(_slot_field(s2), u, v, w, r0, r2)], e0min,
-             {**delta, "phases": (phase(j_same),)})]
+             {**delta, "phases": (j_same,)})]
     if cross:
-        legs.append((cross_legs, 0, {**delta, "phases": tuple(phase(j) for j in cross)}))
+        legs.append((cross_legs, 0, {**delta, "phases": cross}))
     return jacobi_check(
         _parts_field, ((one, u, s1),), ((one, v, s2),), w, box,
         (twisted_floor(u, w), twisted_floor(v, w)), legs, "twisted.jacobi",

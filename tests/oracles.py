@@ -4,7 +4,8 @@ module vectors, the vertex-mode recursion with only the vacuum as its base
 case, the bracket of two fields assembled by hand, the cross-slot iterate
 as a residue sum over explicit indices, the substitution of a monomial
 for a variable, term by term, the right side of the conjugation formula
-from hand-built powers of the root difference, the series product from
+from hand-built powers of the root difference, the dressing flowed one
+weight component at a time without a cache, the series product from
 every term pair and by a grouped vector pairing of its own, and one step
 of a flow exponential as a sum over its generators.
 
@@ -20,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction as Fr
 from operator import add
 
+from permtwist.changeofvars import a_table
 from permtwist.fermion import (
     Vec,
     VecSeries,
@@ -34,6 +36,7 @@ from permtwist.fermion import (
     two_sided,
     vec_equal_on_window,
     vertex_mode,
+    virasoro_mode,
 )
 from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window, binom_expand, unit_pow
 from permtwist.twistor import _parts_field, delta_apply, twisted_floor
@@ -349,6 +352,40 @@ def substitute_monomial(s: FracSeries, var: str, coeff: Fr, exps: dict) -> FracS
 
 
 # ---------------------------------------------------------------------------
+# the dressing, one weight component at a time, without the per-key cache
+# ---------------------------------------------------------------------------
+
+
+def dress_by_components(u: Vec, *, invert: bool = False, a_override=None) -> VecSeries:
+    """D(x) u (or its inverse) as a series in x, with no cache: each
+    weight-p component of u is flowed as a whole by the exponential series
+    sum_n (sign * sum_j a_j L(j))^n / n!, and its weight-q part lands at
+    x^(q/k - p) times k^-p (forward) or at x^(q - p/k) times k^q (inverse)."""
+    ring = u.ring
+    k = ring.k
+    sign = -1 if invert else 1
+    out = VecSeries(ring, ("x",))
+    for p2, comp in u.weight_components():
+        a = list(a_table(k, max(p2 // 2, 2)))
+        if a_override is not None:
+            a[: len(a_override)] = map(Fr, a_override)
+        flowed = power = comp
+        for n in range(1, p2 // 2 + 1):  # each step lowers the weight by at least 1
+            step = Vec(ring)
+            for j in range(1, power.max_twice_weight() // 2 + 1):
+                step.add_scaled(virasoro_mode(j, power), sign * a[j - 1] / n)
+            power = step
+            flowed = flowed + power
+        for q2, part in flowed.weight_components():
+            p, q = Fr(p2, 2), Fr(q2, 2)
+            if invert:
+                out.add_term((q - p / k,), part * ring.sqrt_k_pow(q2))
+            else:
+                out.add_term((q / k - p,), part * ring.sqrt_k_pow(-p2))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the conjugation formula's right side, one (bucket, power) pair at a time
 # ---------------------------------------------------------------------------
 
@@ -381,7 +418,7 @@ def conjugation_rhs_by_powers(u: Vec, v: Vec, z0_hi: int, a_override=None) -> Ve
     mode (u_E)_{-e-1} v times its prefactor and its root-difference power."""
     ring = u.ring
     rhs = VecSeries(ring, ("z", "z0"))
-    for E, uJ in delta_apply(u, var="z", a_override=a_override).by_exponent():
+    for E, uJ in delta_apply(u, a_override=a_override).by_exponent():
         e_lo = min_exponent(uJ, v)
         pref = binom_expand(ring, (1, {"z": 1}), (1, {"z0": 1}), E, z0_hi - min(e_lo, 0))
         for e in range(e_lo, z0_hi + 1):

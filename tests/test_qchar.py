@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 from random import Random
 
@@ -34,14 +35,11 @@ def test_qseries_add_and_lattice_guard():
         QSeries.census(48, F(2), [(F(1, 7), 1)])
 
 
-def test_qseries_subs_root_and_shift():
+def test_qseries_subs_root():
     s = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(1, 2), 3)])
     r = s.subs_root(3)
     assert r.terms() == [(F(-1, 144), 1), (F(1, 6), 3)]
     assert r.cutoff == F(1, 3)
-    t = s.shifted(F(1, 48))
-    assert t.terms() == [(F(0), 1), (F(25, 48), 3)]
-    assert t.cutoff == F(49, 48)
 
 
 def test_qseries_product_truncation():
@@ -71,11 +69,15 @@ def test_qseries_product_matches_convolution(ca, cb):
 def test_qseries_equal_reports_first_witness():
     a = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(23, 48), 1)])
     b = QSeries.census(48, F(1), [(F(-1, 48), 1), (F(23, 48), 2)])
-    ok, witness = qseries_equal(a, b)
+    ok, witness = qseries_equal(a, b, F(1))
     assert not ok and witness == "at q^(23/48): 1 != 2"
-    # beyond the smaller cutoff nothing is compared
+    # beyond the window nothing is compared
     c = QSeries.census(48, F(1, 3), [(F(-1, 48), 1)])
-    assert qseries_equal(a, c) == (True, None)
+    assert qseries_equal(a, c, F(1, 3)) == (True, None)
+    # a window past either cutoff is refused, naming the short cutoff
+    for x, y in ((a, c), (c, a)):
+        with pytest.raises(ValueError, match=re.escape("complete only through q^(1/3), compared through q^(1)")):
+            qseries_equal(x, y, F(1))
 
 
 # -- the carried cutoff --------------------------------------------------------
@@ -179,6 +181,16 @@ def test_character_corollary_negative_controls():
 def test_tensor_power_census(k):
     rep = tensor_power_check(k, 2)
     assert rep.status == "pass", rep.first_mismatch
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_tensor_power_factor_one_step_short_raises(monkeypatch, k):
+    # the factor is built at the exact depth cutoff + (k-1)/48: one 1/48 step
+    # less leaves the k-th power complete only through cutoff - 1/48
+    plain = qchar.char_plain
+    monkeypatch.setattr(qchar, "char_plain", lambda cutoff: plain(cutoff - F(1, 48)))
+    with pytest.raises(ValueError, match=re.escape("complete only through q^(47/48), compared through q^(1)")):
+        tensor_power_check(k, 1)
 
 
 # ---------------------------------------------------------------------------

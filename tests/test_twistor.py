@@ -60,7 +60,7 @@ from permtwist.twistor import (
     ybar,
 )
 
-from oracles import bracket_reference, conjugation_rhs_by_powers, iterate_residue_reference
+from oracles import bracket_reference, conjugation_rhs_by_powers, dress_by_components, iterate_residue_reference
 
 R1 = get_ring(1)
 R2 = get_ring(2)
@@ -194,6 +194,35 @@ def test_dressing_is_linear_over_keys(k, invert):
         assert delta_apply(a + b, invert=invert) == want
     # cancellation: a + (-a) dresses to the zero series
     assert delta_apply(a + (-a), invert=invert).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=5),
+    invert=st.booleans(),
+    perturbed=st.booleans(),
+    powers=st.dictionaries(st.sampled_from(standard_basis(F(7, 2))), st.integers(min_value=0, max_value=4),
+                           min_size=1, max_size=4),
+)
+def test_dressing_matches_component_flow(k, invert, perturbed, powers):
+    # the cached per-key dressings, scaled and summed, against the flow of
+    # each weight component of u as a whole, with no cache
+    u = _eta_combination(get_ring(k), powers)
+    over = BAD_A_OFF_LATTICE if perturbed else None
+    assert delta_apply(u, invert=invert, a_override=over) == dress_by_components(u, invert=invert, a_override=over)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+def test_single_key_dressing_is_the_cached_series(invert):
+    # coefficient one hands out the cached series itself; any other
+    # coefficient gives a scaled series with entries of its own
+    key = (-3, -2)
+    cached = _dress_key(key, 3, invert, None)
+    assert len(cached.terms) > 1
+    assert delta_apply(Vec.basis(R3, key), invert=invert) is cached
+    scaled = delta_apply(Vec.basis(R3, key, R3.eta(1)), invert=invert)
+    assert scaled == cached.scale(R3.eta(1))
+    assert not any(vec is cached.terms.get(n) for n, vec in scaled.terms.items())
 
 
 def test_dressing_override_does_not_leak_through_the_cache():
@@ -389,27 +418,40 @@ def test_supercommutator_k3():
 
 
 def test_supercommutator_leaves_cached_dressings_unchanged(monkeypatch):
-    # record the cached buckets the bracket checks read, then run them again:
-    # the same cached objects come back, with the same integers.  The second
-    # case dresses two keys of one weight, whose buckets meet at one exponent.
+    # record the cached dressings that bracket checks, twisted modes and
+    # conjugation checks read, then run them again: the same cached series
+    # come back, holding the same Vec objects with the same integers.  The
+    # second bracket dresses two keys of one weight, whose series meet at one
+    # exponent; a twisted mode's terms are the cached Vecs themselves.
     seen = {}
 
     def recording(*args):
         seen[args] = out = _dress_key(*args)
         return out
 
-    om, psi, vac = omega_vec(R3), psi_vec(R3), vac_vec(R3)
-    cases = [(om, om, vac), (Vec(R3, {(-4, -1): 1, (-3, -2): R3.eta(1)}), psi, vac)]
+    om, psi, vac, w = omega_vec(R3), psi_vec(R3), vac_vec(R3), Vec.basis(R3, (-1,))
+    two_keys = Vec(R3, {(-4, -1): 1, (-3, -2): R3.eta(1)})
+    runs = [
+        lambda: supercommutator_check(om, om, vac).status,
+        lambda: supercommutator_check(two_keys, psi, vac).status,
+        lambda: twisted_mode(om, 1).apply(w),
+        lambda: twisted_mode(two_keys.scale(F(1, 2)), F(-1, 3)).apply(w),
+        lambda: conjugation_check(om, w).status,
+        lambda: conjugation_check(psi, w, a_override=BAD_A_OFF_LATTICE).status,
+    ]
     monkeypatch.setattr(twistor, "_dress_key", recording)
-    for u, v, w in cases:
-        supercommutator_check(u, v, w)
+    first = [run() for run in runs]
     monkeypatch.undo()
-    snap = {args: [(en, vec.den, vec.copy().slots) for en, vec in out] for args, out in seen.items()}
-    for u, v, w in cases:
-        assert supercommutator_check(u, v, w).status == "pass"
-    for args, out in seen.items():
-        assert _dress_key(*args) is out
-        assert [(en, vec.den, vec.slots) for en, vec in out] == snap[args], args
+    assert first[:2] == ["pass", "pass"] and first[4:] == ["pass", "fail"]
+    assert not (first[2].is_zero() or first[3].is_zero())
+    snap = {args: (out.den, [(key, vec, vec.den, vec.copy().slots) for key, vec in out.terms.items()])
+            for args, out in seen.items()}
+    assert [run() for run in runs] == first
+    for args, (den, entries) in snap.items():
+        out = _dress_key(*args)
+        assert out is seen[args] and out.den == den and list(out.terms) == [key for key, *_ in entries]
+        for key, vec, vec_den, slots in entries:
+            assert out.terms[key] is vec and (vec.den, vec.slots) == (vec_den, slots), args
 
 
 def test_supercommutator_fractional_factor_is_load_bearing_k2():
@@ -659,7 +701,7 @@ def test_mul_series_box_equals_truncated_product():
     d = delta_truncated(
         R3, (1, {"x1": 1}), (-1, {"x0": 1}), (1, {"x2": 1}),
         step=F(1, 3), n_range=(-3, 6), tail_order=1,
-        phase=lambda n: R3.eta(n % 3), prefix=(F(1, 3), {"x2": -1}),
+        phase=1, prefix=(F(1, 3), {"x2": -1}),
     )
     full = it.mul_series(d)
     cut = full.truncate_window(box)
@@ -731,7 +773,7 @@ def test_untwist_names_the_lowest_off_lattice_exponent(monkeypatch, k):
 
     def off_lattice(v, *, invert=False, **kw):
         out = dress(v, invert=invert, **kw)
-        return out.shift_exponents(kw.get("var", "x"), F(1, 2 * k)) if invert else out
+        return out.shift_exponents("x", F(1, 2 * k)) if invert else out
 
     monkeypatch.setattr(twistor, "delta_apply", off_lattice)
     message = f"rebuilt field exponent {lowest} not integral (k={k})"

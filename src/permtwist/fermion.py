@@ -658,26 +658,36 @@ def jacobi_products(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
     the outer field's rectangle reaches as high as the deepest tail term
     needs, so every box coefficient is exact.  The n-th term moves f1 + f2
     by n: the rectangle is built only on the band that can reach the box.
+    With equal two_sided arguments (u = v; the band always agrees) the second side is mirror_side(first):
+    its delta is minus the first's under x1 <-> x2, x0 -> -x0, and its rectangle and box are the images.
     """
     b = box.as_dict()
     l0, h0 = int(b["x0"][0]), int(b["x0"][1])
-    sides = []
+    sides, first = [], None
     for p, q, a, c, floor, sign in (("x1", "x2", u, v, floors[1], 1),
                                     ("x2", "x1", v, u, floors[0], -1)):
         (lp, hp), (lq, hq) = b[p], b[q]
         tail = math.floor(hq - floor)
         if h0 < 0:
             tail = min(tail, -l0 - 1)
-        rect = two_sided(
-            field, a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq), (p, q),
-            (lp + lq + l0 + 1, hp + hq + h0 + 1),
-        )
+        args = (a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq))
+        if args == first:
+            sides.append(mirror_side(sides[0]))
+            break
+        first = args
+        rect = two_sided(field, *args, (p, q), (lp + lq + l0 + 1, hp + hq + h0 + 1))
         delta = delta_truncated(
             w.ring, (1, {p: 1}), (-1, {q: 1}), (sign, {"x0": 1}),
             n_range=(-h0 - 1, -l0 - 1), tail_order=tail, prefix=(1, {"x0": -1}),
         )
         sides.append(rect.mul_series(delta, box))
     return sides[0] - sides[1] if eps == 1 else sides[0] + sides[1]
+
+
+def mirror_side(side: VecSeries) -> VecSeries:
+    """-(-1)^e0 times side's (e0, b, a) term at (e0, a, b), over (x0, x1, x2); Vecs negated or shared."""
+    return side._of(side.ring, side.vars, {(n0, n2, n1): vec if (n0 // side.den) % 2 else -vec
+                                           for (n0, n1, n2), vec in side.terms.items()}, side.den)
 
 
 def iterate_side(ring: ScalarRing, build, box: Window, e0, *, step=1, shift=0, scale=1,

@@ -1,9 +1,10 @@
 """Independent oracles shared by the tests: the Clifford action, the cyclic
 permutation action and its eigenprojections, per-key Scalar arithmetic on
 module vectors, the vertex-mode recursion with only the vacuum as its base
-case, the bracket of two fields assembled by hand, the cross-slot iterate
-as a residue sum over explicit indices, the substitution of a monomial
-for a variable, term by term, the right side of the conjugation formula
+case, the bracket of two fields assembled by hand, the two Jacobi product
+sides each built in full, the cross-slot iterate as a residue sum over
+explicit indices, the substitution of a monomial for a variable, term by
+term, the right side of the conjugation formula
 from hand-built powers of the root difference, the dressing flowed one
 weight component at a time without a cache, the series product from
 every term pair and by a grouped vector pairing of its own, and one step
@@ -38,7 +39,15 @@ from permtwist.fermion import (
     vertex_mode,
     virasoro_mode,
 )
-from permtwist.fseries import CheckReport, CompositionDomainError, FracSeries, Window, binom_expand, unit_pow
+from permtwist.fseries import (
+    CheckReport,
+    CompositionDomainError,
+    FracSeries,
+    Window,
+    binom_expand,
+    delta_truncated,
+    unit_pow,
+)
 from permtwist.twistor import _parts_field, delta_apply, twisted_floor
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,30 @@ def bracket_reference(field, u: Vec, v: Vec, w: Vec, box: Window, *, offset, den
         step=Fr(1, den), shift=offset, scale=rhs_scale,
     )
     return vec_equal_on_window(lhs, rhs.shift_exponents("x0", 1), box, identity, anchors, w.ring.k)
+
+
+def jacobi_products_built_twice(field, u, v, w: Vec, box: Window, floors, eps) -> VecSeries:
+    """fermion.jacobi_products with no mirror: each product side is its own
+    two_sided rectangle paired with its own delta, whatever u, v and the box."""
+    b = box.as_dict()
+    l0, h0 = int(b["x0"][0]), int(b["x0"][1])
+    sides = []
+    for p, q, a, c, floor, sign in (("x1", "x2", u, v, floors[1], 1),
+                                    ("x2", "x1", v, u, floors[0], -1)):
+        (lp, hp), (lq, hq) = b[p], b[q]
+        tail = math.floor(hq - floor)
+        if h0 < 0:
+            tail = min(tail, -l0 - 1)
+        rect = two_sided(
+            field, a, c, w, (lp + l0 + 1, hp + h0 + 1 + tail), (max(floor, lq - tail), hq), (p, q),
+            (lp + lq + l0 + 1, hp + hq + h0 + 1),
+        )
+        delta = delta_truncated(
+            w.ring, (1, {p: 1}), (-1, {q: 1}), (sign, {"x0": 1}),
+            n_range=(-h0 - 1, -l0 - 1), tail_order=tail, prefix=(1, {"x0": -1}),
+        )
+        sides.append(rect.mul_series(delta, box))
+    return sides[0] - sides[1] if eps == 1 else sides[0] + sides[1]
 
 
 # ---------------------------------------------------------------------------

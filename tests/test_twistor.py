@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from permtwist.fermion import (
     omega_vec,
     psi_vec,
     standard_basis,
+    state_parity,
     state_weight,
     two_sided,
     untwisted_jacobi_check,
@@ -36,6 +38,7 @@ from permtwist.twistor import (
     _iterate_shared,
     _parts_field,
     _slot_field,
+    _untwist_floor,
     conjugation_check,
     delta_apply,
     delta_roundtrip_check,
@@ -60,7 +63,13 @@ from permtwist.twistor import (
     ybar,
 )
 
-from oracles import bracket_reference, conjugation_rhs_by_powers, dress_by_components, iterate_residue_reference
+from oracles import (
+    bracket_reference,
+    conjugation_rhs_by_powers,
+    dress_by_components,
+    iterate_residue_reference,
+    jacobi_products_built_twice,
+)
 
 R1 = get_ring(1)
 R2 = get_ring(2)
@@ -498,12 +507,8 @@ def test_untwist_commutator_matches_hand_built_bracket(k, offset):
         assert rep.to_json() == ref.to_json(), (u.render(), v.render(), w.render())
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_bracket_builds_only_the_box_rectangles(monkeypatch, k):
-    # the x0^-1 slice has one delta index, n = 0, so its binomial tail is
-    # empty: a default-box bracket asks each product side only for the box,
-    # with the inner variable cut at its field's floor
-    ring = get_ring(k)
+def _spy_two_sided(monkeypatch) -> list:
+    """(vars, win1, win2) of every rectangle fermion.two_sided builds from now on."""
     seen = []
 
     def spy(field, u, v, w, win1, win2, vars, band):
@@ -511,12 +516,86 @@ def test_bracket_builds_only_the_box_rectangles(monkeypatch, k):
         return two_sided(field, u, v, w, win1, win2, vars, band)
 
     monkeypatch.setattr(fermion, "two_sided", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bracket_builds_only_the_box_rectangles(monkeypatch, k):
+    # the x0^-1 slice has one delta index, n = 0, so its binomial tail is
+    # empty: a default-box bracket asks each product side only for the box,
+    # with the inner variable cut at its field's floor.  With u = v the
+    # second side is the first one mirrored, so only the first is built.
+    ring = get_ring(k)
+    seen = _spy_two_sided(monkeypatch)
     for u, v, w in _bracket_cases(ring):
         seen.clear()
         assert supercommutator_check(u, v, w).status == "pass"
         fu, fv = twisted_floor(u, w), twisted_floor(v, w)
-        assert seen == [(("x1", "x2"), (-2, 2), (max(fv, -2), 2)),
-                        (("x2", "x1"), (-2, 2), (max(fu, -2), 2))]
+        first = (("x1", "x2"), (-2, 2), (max(fv, -2), 2))
+        second = (("x2", "x1"), (-2, 2), (max(fu, -2), 2))
+        assert seen == ([first] if u == v else [first, second]), (u.render(), v.render(), w.render())
+
+
+def _mirror_cases():
+    """(id, field, state, target, box, floor) of every u = v product pair the
+    mirror serves in the checks: brackets (x0 = -1 only) of ybar at odd k and of
+    untwist at k = 2, 4, and Jacobi boxes with x0 in [-2, 1], so both parities
+    of e0, for the twisted slot-1 field at k = 3 and the plain field at k = 1."""
+    bracket = Window.of(x0=(-1, -1), x1=(-2, 2), x2=(-2, 2))
+    cases = []
+    for field, floor, ks in ((ybar, twisted_floor, (1, 3, 5)), (untwist, _untwist_floor, (2, 4))):
+        for k in ks:
+            ring = get_ring(k)
+            for un, u in (("psi", psi_vec(ring)), ("omega", omega_vec(ring))):
+                for wn, w in (("vac", vac_vec(ring)), ("psi", psi_vec(ring))):
+                    cases.append((f"{field.__name__}.k{k}.{un}-{un}.{wn}", field, u, w, bracket, floor(u, w)))
+    jacobi = Window.of(x0=(-2, 1), x1=(-1, 1), x2=(-1, 1))
+    psi = psi_vec(R3)
+    for wn, w in (("vac", vac_vec(R3)), ("psi", psi)):
+        cases.append((f"jacobi.k3.psi1-psi1.{wn}", _parts_field, ((R3.one, psi, 1),), w, jacobi,
+                      twisted_floor(psi, w)))
+    plain = Window.of(x0=(-2, 1), x1=(-2, 2), x2=(-2, 2))
+    psi = psi_vec(R1)
+    for wn, w in (("vac", vac_vec(R1)), ("psi", psi)):
+        cases.append((f"untwisted-jacobi.k1.psi-psi.{wn}", vertex_op, psi, w, plain,
+                      F(min_exponent(psi, w))))
+    return cases
+
+
+@pytest.mark.parametrize("case", _mirror_cases(), ids=lambda case: case[0])
+def test_mirrored_products_equal_both_sides_built(monkeypatch, case):
+    # with u = v and a box symmetric in x1 and x2 the second side is the
+    # first under x1 <-> x2, x0 -> -x0, negated: term by term the oracle's
+    _id, field, u, w, box, floor = case
+    eps = -1 if state_parity(u) else 1
+    want = jacobi_products_built_twice(field, u, u, w, box, (floor, floor), eps)
+    seen = _spy_two_sided(monkeypatch)
+    got = fermion.jacobi_products(field, u, u, w, box, (floor, floor), eps)
+    assert [vars for vars, _win1, _win2 in seen] == [("x1", "x2")]
+    assert not want.is_zero()
+    assert (got.vars, got.den, got.terms) == (want.vars, want.den, want.terms)
+
+
+def test_unequal_product_arguments_build_both_sides(monkeypatch):
+    # no mirror without equal states and a box symmetric in x1 and x2: an
+    # asymmetric box, u = v in two slots, and u != v each build both sides,
+    # and each verdict is the one of both sides built in full
+    psi, om, vac = psi_vec(R3), omega_vec(R3), vac_vec(R3)
+    checks = [
+        partial(supercommutator_check, psi, psi, vac, Window.of(x1=(-2, 2), x2=(-1, 2))),
+        partial(twisted_jacobi_check, psi, 1, psi, 2, vac),
+        partial(supercommutator_check, psi, om, vac),
+    ]
+    seen = _spy_two_sided(monkeypatch)
+    for check in checks:
+        seen.clear()
+        rep = check()
+        assert [vars for vars, _win1, _win2 in seen] == [("x1", "x2"), ("x2", "x1")], check.args
+        with monkeypatch.context() as m:
+            m.setattr(fermion, "jacobi_products", jacobi_products_built_twice)
+            ref = check()
+        assert rep.status == "pass"
+        assert rep.to_json() == ref.to_json()
 
 
 def by_exponents(s: VecSeries) -> dict:
